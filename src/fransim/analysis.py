@@ -18,6 +18,7 @@ from .events import (  # noqa: F401  (re-exported analysis surface)
     EventStream,
     Histogram,
     OUTCOMES,
+    accidental_rate,
     build_histogram,
     window_coincidences,
 )
@@ -41,19 +42,8 @@ __all__ = [
     "chsh_report_text",
 ]
 
-S_MAX = quantum.S_MAX
-
-
 class FitError(RuntimeError):
     """Sinusoid fit failed to converge; message carries the diagnostics."""
-
-
-def accidental_rate(singles_start: float, singles_stop: float, window: float) -> float:
-    """Uncorrelated-coincidence rate: product of the singles rates and the
-    coincidence-window width."""
-    if singles_start < 0 or singles_stop < 0 or window < 0:
-        raise ValueError("singles rates and window width must be >= 0")
-    return singles_start * singles_stop * window
 
 
 def significance_from_visibility(vis: float, vis_sigma: float) -> float:
@@ -61,7 +51,7 @@ def significance_from_visibility(vis: float, vis_sigma: float) -> float:
     via S = 2*sqrt(2)*V and first-order error propagation."""
     if vis_sigma <= 0:
         raise ValueError(f"vis_sigma must be > 0, got {vis_sigma}")
-    return (S_MAX * vis - 2.0) / (S_MAX * vis_sigma)
+    return (quantum.S_MAX * vis - 2.0) / (quantum.S_MAX * vis_sigma)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from .analysis import (
     significance_from_visibility,
 )
 from .config import (
-    ConfigError,
     ExperimentConfig,
     config_hash,
     default_config,
@@ -31,18 +30,14 @@ from .config import (
     load_config,
     reproduction_config,
 )
-from .quantum import STANDARD_SETTINGS, UndefinedCorrelationError
+from .quantum import STANDARD_SETTINGS
 from .simulator import simulate_setting
 
 DEFAULT_SCAN_SPAN = 600e-9  # m of mirror displacement, ~1.7 fringes
 
 
-class CliError(RuntimeError):
-    pass
-
-
-def _load(args) -> ExperimentConfig:
-    cfg = load_config(args.config) if args.config else default_config()
+def _load(args, default=default_config) -> ExperimentConfig:
+    cfg = load_config(args.config) if args.config else default()
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     return cfg
@@ -90,8 +85,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_scan(args) -> int:
     cfg = _load(args)
-    if args.points < 5:
-        raise CliError(f"--points must be at least 5, got {args.points}")
     controls = np.linspace(0.0, args.span, args.points)
     points = scan_fringe(cfg, args.axis, controls, args.dwell)
     out = Path(args.out)
@@ -108,30 +101,28 @@ def cmd_scan(args) -> int:
     return 0
 
 
-def cmd_chsh(args) -> int:
-    cfg = _load(args)
-    report = chsh_experiment(cfg, STANDARD_SETTINGS, args.dwell)
+def _write_chsh_report(args, cfg, report, command: str, **extra) -> int:
     out = Path(args.out)
     _write(out, chsh_report_text(report), args.quiet)
     _write(out.with_suffix(out.suffix + ".json"), chsh_report_json(report), args.quiet)
-    _write(_sidecar(out), _manifest(cfg, "chsh", out, dwell=args.dwell), args.quiet)
+    _write(_sidecar(out), _manifest(cfg, command, out, **extra), args.quiet)
     return 0
+
+
+def cmd_chsh(args) -> int:
+    cfg = _load(args)
+    report = chsh_experiment(cfg, STANDARD_SETTINGS, args.dwell)
+    return _write_chsh_report(args, cfg, report, "chsh", dwell=args.dwell)
 
 
 def cmd_lhv(args) -> int:
     cfg = _load(args)
     report = lhv_chsh_experiment(STANDARD_SETTINGS, args.pairs, cfg.seed)
-    out = Path(args.out)
-    _write(out, chsh_report_text(report), args.quiet)
-    _write(out.with_suffix(out.suffix + ".json"), chsh_report_json(report), args.quiet)
-    _write(_sidecar(out), _manifest(cfg, "lhv", out, pairs=args.pairs), args.quiet)
-    return 0
+    return _write_chsh_report(args, cfg, report, "lhv", pairs=args.pairs)
 
 
 def cmd_reproduce_paper(args) -> int:
-    cfg = load_config(args.config) if args.config else reproduction_config()
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+    cfg = _load(args, reproduction_config)
 
     controls = np.linspace(0.0, args.span, args.points)
     points = scan_fringe(cfg, "mirror1", controls, args.dwell)
@@ -220,8 +211,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, CliError, UndefinedCorrelationError,
-            ValueError, analysis.FitError) as exc:
+    except (ValueError, analysis.FitError) as exc:  # incl. ConfigError, UndefinedCorrelationError
         print(f"fransim: error: {exc}", file=sys.stderr)
         return 2
 

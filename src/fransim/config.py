@@ -48,7 +48,6 @@ class DetectorParams:
     efficiency: float = 0.65
     dark_rate: float = 0.0              # counts / s, per detector
     jitter_fwhm: float = 0.0            # s
-    dead_time: float = 0.0              # not modeled; must stay 0
 
 
 @dataclass
@@ -124,7 +123,6 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         _check_prob(det.efficiency, f"{name}.efficiency")
         _require(det.dark_rate >= 0, f"{name}.dark_rate", "must be >= 0")
         _require(det.jitter_fwhm >= 0, f"{name}.jitter_fwhm", "must be >= 0")
-        _require(det.dead_time == 0.0, f"{name}.dead_time", "dead time is not modeled; must be 0")
     _require(cfg.tphc.window_width > 0, "tphc.window_width", "must be > 0")
     _require(
         cfg.tphc.window_width < cfg.analyzer1.path_delay,
@@ -190,11 +188,9 @@ _KEYS = [
     ("detector_start.efficiency", "float"),
     ("detector_start.dark_rate", "qty"),
     ("detector_start.jitter_fwhm", "qty"),
-    ("detector_start.dead_time", "qty"),
     ("detector_stop.efficiency", "float"),
     ("detector_stop.dark_rate", "qty"),
     ("detector_stop.jitter_fwhm", "qty"),
-    ("detector_stop.dead_time", "qty"),
     ("tphc.window_width", "qty"),
     ("tphc.center_offset", "qty"),
 ]

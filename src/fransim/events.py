@@ -33,10 +33,6 @@ OUTCOMES: Tuple[Tuple[int, int], ...] = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 RECORD_DTYPE = np.dtype([("channel", "u1"), ("time_ps", "<u8")])
 
 
-class OrderingError(ValueError):
-    """Raised when an event stream that must be time-ordered is not."""
-
-
 @dataclass
 class EventStream:
     """Per-port sorted detection timestamps (int64 picoseconds) for one run."""
@@ -76,8 +72,10 @@ class EventStream:
 
     @classmethod
     def from_records(cls, records: np.ndarray, duration: float) -> "EventStream":
-        times = records["time_ps"].astype(np.int64)
         chan = records["channel"]
+        if chan.max(initial=0) > CH_STOP_MINUS:
+            raise ValueError(f"unknown channel byte {chan.max()} in the records")
+        times = records["time_ps"].astype(np.int64)
         ports = {}
         for name, code in (("start_plus", CH_START_PLUS), ("start_minus", CH_START_MINUS),
                            ("stop_plus", CH_STOP_PLUS), ("stop_minus", CH_STOP_MINUS)):
@@ -98,8 +96,10 @@ class EventStream:
                 raise ValueError(f"{path}: not a detection-record file")
             if header[4] != FORMAT_VERSION:
                 raise ValueError(f"{path}: unsupported format version {header[4]}")
-            records = np.fromfile(fh, dtype=RECORD_DTYPE)
-        return cls.from_records(records, duration)
+            data = fh.read()
+        if len(data) % RECORD_DTYPE.itemsize:
+            raise ValueError(f"{path}: truncated, {len(data)} record bytes is not a multiple of 9")
+        return cls.from_records(np.frombuffer(data, dtype=RECORD_DTYPE), duration)
 
 
 @dataclass
@@ -115,17 +115,6 @@ class CountSummary:
     singles_stop: int
     coincidences: Dict[Tuple[int, int], int] = field(default_factory=dict)
     accidental_estimate: float = 0.0
-
-    def merge(self, other: "CountSummary") -> "CountSummary":
-        coinc = {k: self.coincidences.get(k, 0) + other.coincidences.get(k, 0)
-                 for k in OUTCOMES}
-        return CountSummary(
-            duration=self.duration + other.duration,
-            singles_start=self.singles_start + other.singles_start,
-            singles_stop=self.singles_stop + other.singles_stop,
-            coincidences=coinc,
-            accidental_estimate=self.accidental_estimate + other.accidental_estimate,
-        )
 
 
 @dataclass
@@ -145,12 +134,19 @@ class Histogram:
         return int(self.counts.sum())
 
 
-def _pairs_in_window(starts: np.ndarray, stops: np.ndarray,
-                     lo_ps: int, hi_ps: int) -> int:
-    """Number of (start, stop) pairs with stop - start in [lo_ps, hi_ps]."""
+def accidental_rate(singles_start: float, singles_stop: float, window: float) -> float:
+    """Uncorrelated-coincidence rate: product of the singles rates and the
+    coincidence-window width."""
+    if singles_start < 0 or singles_stop < 0 or window < 0:
+        raise ValueError("singles rates and window width must be >= 0")
+    return singles_start * singles_stop * window
+
+
+def _stop_ranges(starts: np.ndarray, stops: np.ndarray, lo_ps: int, hi_ps: int):
+    """Per start, the index range [lo, hi) of stops with stop - start in [lo_ps, hi_ps]."""
     lo = np.searchsorted(stops, starts + lo_ps, side="left")
     hi = np.searchsorted(stops, starts + hi_ps, side="right")
-    return int((hi - lo).sum())
+    return lo, hi
 
 
 def window_coincidences(stream: EventStream, tphc: TphcParams,
@@ -170,19 +166,17 @@ def window_coincidences(stream: EventStream, tphc: TphcParams,
     duration = stream.duration
     singles_start = len(stream.start_plus)
     singles_stop = len(stream.stop_plus)
-    coinc = {}
-    if tphc.window_width <= 0:
-        coinc = {outcome: 0 for outcome in OUTCOMES}
-    else:
+    coinc = {outcome: 0 for outcome in OUTCOMES}
+    if tphc.window_width > 0:
         half_ps = int(round(tphc.window_width / 2 / PS))
         center_ps = int(round(tphc.center_offset / PS))
         for i, j in OUTCOMES:
-            coinc[(i, j)] = _pairs_in_window(
-                stream.port("start", i), stream.port("stop", j),
-                center_ps - half_ps, center_ps + half_ps,
-            )
-    accidental = (singles_start / duration) * (singles_stop / duration) \
-        * tphc.window_width * duration
+            lo, hi = _stop_ranges(stream.port("start", i), stream.port("stop", j),
+                                  center_ps - half_ps, center_ps + half_ps)
+            coinc[(i, j)] = int((hi - lo).sum())
+            del lo, hi  # free before the next pairing's searches
+    accidental = accidental_rate(singles_start / duration, singles_stop / duration,
+                                 tphc.window_width) * duration
     return CountSummary(
         duration=duration,
         singles_start=singles_start,
@@ -202,15 +196,11 @@ def build_histogram(stream: EventStream, bin_width: float, range_: float) -> His
         raise ValueError(f"bin_width must be > 0, got {bin_width}")
     starts = stream.starts()
     stops = stream.stops()
-    for name, arr in (("start", starts), ("stop", stops)):
-        if len(arr) > 1 and np.any(np.diff(arr) < 0):
-            raise OrderingError(f"{name} events are not time-ordered")
     range_ps = int(round(range_ / PS))
     nbins = max(1, int(np.ceil(2 * range_ / bin_width)))
     if len(starts) == 0 or len(stops) == 0:
         return Histogram(bin_width=bin_width, origin=-range_, counts=np.zeros(nbins, dtype=np.int64))
-    lo = np.searchsorted(stops, starts - range_ps, side="left")
-    hi = np.searchsorted(stops, starts + range_ps, side="right")
+    lo, hi = _stop_ranges(starts, stops, -range_ps, range_ps)
     counts_per = hi - lo
     total = int(counts_per.sum())
     # Gather all in-range stop indices without a Python loop.

@@ -6,9 +6,7 @@ of how slices might be distributed over workers.
 """
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,33 +14,14 @@ from .config import DetectorParams, ExperimentConfig, validate_config
 from .events import PS, CountSummary, EventStream, window_coincidences
 
 __all__ = [
-    "Branch",
-    "PairBranchSample",
     "fwhm_to_sigma",
     "apply_jitter",
-    "sample_pair_branch",
     "generate_dark_counts",
     "emit_event_stream",
     "simulate_setting",
 ]
 
 SLICE_SECONDS = 1.0  # fixed batching granularity for the derived RNG streams
-
-
-class Branch(enum.Enum):
-    CENTRAL = "central"          # short-short / long-long, indistinguishable
-    SHORT_LONG = "short_long"    # start photon short arm, stop photon long arm
-    LONG_SHORT = "long_short"
-
-
-@dataclass
-class PairBranchSample:
-    branch: Branch
-    i: int
-    j: int
-    emission_time: float = 0.0
-    start_time: float = 0.0
-    stop_time: float = 0.0
 
 
 def fwhm_to_sigma(fwhm: float) -> float:
@@ -80,16 +59,6 @@ def _sample_branches_outcomes(d1, d2, vis, n: int, rng: np.random.Generator):
     j_side = np.where(rng.random(n) < 0.5, 1, -1).astype(np.int8)
     j = np.where(branch == 0, j_central, j_side).astype(np.int8)
     return branch, i, j
-
-
-def sample_pair_branch(d1: float, d2: float, vis: float,
-                       rng: np.random.Generator) -> PairBranchSample:
-    """Draw one pair's path branch and output-port outcome."""
-    if not (0.0 <= vis <= 1.0):
-        raise ValueError(f"visibility must lie in [0, 1], got {vis!r}")
-    branch, i, j = _sample_branches_outcomes(d1, d2, vis, 1, rng)
-    kind = (Branch.CENTRAL, Branch.SHORT_LONG, Branch.LONG_SHORT)[int(branch[0])]
-    return PairBranchSample(branch=kind, i=int(i[0]), j=int(j[0]))
 
 
 def generate_dark_counts(rate: float, duration: float,
@@ -172,8 +141,7 @@ def emit_event_stream(config: ExperimentConfig, d1: float, d2: float,
             parts[name].extend(chunks)
 
     ports = {
-        name: np.sort(np.concatenate(chunks) if chunks else
-                      np.empty(0, dtype=np.int64))
+        name: np.sort(np.concatenate(chunks))
         for name, chunks in parts.items()
     }
     return EventStream(duration=duration, **ports)

@@ -1,5 +1,4 @@
 import math
-from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -7,57 +6,57 @@ import pytest
 from scipy import stats
 
 from conftest import clean_config
-from fransim.config import DetectorParams, TphcParams
-from fransim.events import OUTCOMES, EventStream, window_coincidences
+from fransim.config import ConfigError, DetectorParams, TphcParams, loads_config
+from fransim.events import (
+    CH_START_PLUS,
+    CH_STOP_PLUS,
+    RECORD_DTYPE,
+    EventStream,
+    window_coincidences,
+)
 from fransim.quantum import coincidence_probability
 from fransim.simulator import (
-    Branch,
+    _sample_branches_outcomes,
     apply_jitter,
     emit_event_stream,
     fwhm_to_sigma,
     generate_dark_counts,
-    sample_pair_branch,
     simulate_setting,
 )
 
+CENTRAL = 0  # branch code of _sample_branches_outcomes; 1 and 2 are the side peaks
+
 
 class TestSamplePairBranch:
+    """The per-pair branch and outcome law, drawn by the vectorized sampler."""
+
     def test_perfect_visibility_forbids_anticorrelated_central(self):
-        rng = np.random.default_rng(0)
-        for _ in range(5000):
-            s = sample_pair_branch(0.3, -0.3, 1.0, rng)
-            if s.branch is Branch.CENTRAL:
-                assert s.i == s.j
+        branch, i, j = _sample_branches_outcomes(0.3, -0.3, 1.0, 5000,
+                                                 np.random.default_rng(0))
+        central = branch == CENTRAL
+        assert central.any()
+        np.testing.assert_array_equal(i[central], j[central])
 
     def test_zero_visibility_is_uniform_within_branches(self):
-        rng = np.random.default_rng(1)
         n = 200_000
-        cells = Counter()
-        for _ in range(n):
-            s = sample_pair_branch(1.1, 0.4, 0.0, rng)
-            cells[(s.branch, s.i, s.j)] += 1
-        for branch in Branch:
-            p = 0.125 if branch is Branch.CENTRAL else 0.0625
-            for i in (1, -1):
-                for j in (1, -1):
+        branch, i, j = _sample_branches_outcomes(1.1, 0.4, 0.0, n,
+                                                 np.random.default_rng(1))
+        for b in (0, 1, 2):
+            p = 0.125 if b == CENTRAL else 0.0625
+            for si in (1, -1):
+                for sj in (1, -1):
                     se = math.sqrt(p * (1 - p) / n)
-                    assert abs(cells[(branch, i, j)] / n - p) < 5 * se
+                    hits = np.count_nonzero((branch == b) & (i == si) & (j == sj))
+                    assert abs(hits / n - p) < 5 * se
 
     def test_central_cell_frequency_matches_closed_form(self):
-        rng = np.random.default_rng(2)
         d1, d2, vis = math.pi / 4, 0.0, 0.957
         n = 1_000_000
-        hits = 0
-        for _ in range(n):
-            s = sample_pair_branch(d1, d2, vis, rng)
-            if s.branch is Branch.CENTRAL and s.i == 1 and s.j == 1:
-                hits += 1
+        branch, i, j = _sample_branches_outcomes(d1, d2, vis, n,
+                                                 np.random.default_rng(2))
+        hits = np.count_nonzero((branch == CENTRAL) & (i == 1) & (j == 1))
         expected = coincidence_probability(1, 1, d1, d2, vis)
         assert abs(hits / n - expected) < 0.0013  # 3 sigma band
-
-    def test_invalid_visibility(self):
-        with pytest.raises(ValueError):
-            sample_pair_branch(0, 0, 1.5, np.random.default_rng(0))
 
 
 class TestApplyJitter:
@@ -163,6 +162,22 @@ class TestEventStream:
         keys = records["channel"].astype(np.uint64) << 60 | records["time_ps"]
         assert len(np.unique(keys)) == len(keys)
 
+    def test_truncated_file_is_rejected(self, tmp_path):
+        times = np.arange(3, dtype=np.int64) * 1000
+        stream = EventStream(1.0, times, times + 1, times + 2, times + 3)  # 12 records
+        path = tmp_path / "events.frsn"
+        stream.write(path)
+        assert path.stat().st_size == 5 + 9 * 12
+        path.write_bytes(path.read_bytes()[:-4])
+        with pytest.raises(ValueError, match="events.frsn: truncated"):
+            EventStream.read(path, duration=1.0)
+
+    def test_unknown_channel_byte_is_rejected(self):
+        records = np.zeros(3, dtype=RECORD_DTYPE)
+        records["channel"] = [CH_START_PLUS, 7, CH_STOP_PLUS]
+        with pytest.raises(ValueError, match="unknown channel byte 7"):
+            EventStream.from_records(records, duration=1.0)
+
     def test_binary_round_trip(self, tmp_path):
         cfg = clean_config(pair_rate=2e4, dark_stop=1e3, seed=14)
         stream = emit_event_stream(cfg, 0.1, 0.2, 1.0, cfg.seed)
@@ -174,23 +189,16 @@ class TestEventStream:
             np.testing.assert_array_equal(getattr(stream, port), getattr(back, port))
         assert window_coincidences(back, cfg.tphc) == window_coincidences(stream, cfg.tphc)
 
-    def test_count_summary_merge(self):
-        cfg = clean_config(pair_rate=2e4, seed=15)
-        a = simulate_setting(cfg, 0.0, 0.0, 1.0, 1)
-        b = simulate_setting(cfg, 0.0, 0.0, 1.0, 2)
-        merged = a.merge(b)
-        assert merged.duration == 2.0
-        assert merged.singles_start == a.singles_start + b.singles_start
-        for k in OUTCOMES:
-            assert merged.coincidences[k] == a.coincidences[k] + b.coincidences[k]
-
 
 class TestConfigValidationPath:
     def test_dead_time_stub_errors(self):
-        cfg = clean_config()
-        cfg.detector_start.dead_time = 50e-9
-        with pytest.raises(Exception, match="dead_time"):
-            simulate_setting(cfg, 0, 0, 1.0, 1)
+        # Dead time is not modelled, so the key is as unknown as any other.
+        with pytest.raises(ConfigError, match="unknown key 'detector_start.dead_time'"):
+            loads_config("detector_start.dead_time = 50 ns\n")
+
+    def test_visibility_outside_unit_interval_rejected(self):
+        with pytest.raises(ConfigError, match="visibility"):
+            simulate_setting(clean_config(visibility=1.5), 0, 0, 1.0, 1)
 
     def test_wide_window_rejected_by_config(self):
         cfg = clean_config(window=800e-12)
