@@ -55,27 +55,27 @@ class EventStream:
     def to_records(self) -> np.ndarray:
         """Time-ordered structured array of (channel, time_ps) records.
 
-        Negative timestamps (possible from jitter near t = 0) are clamped to 0
-        to fit the unsigned wire format.
+        ``time_ps`` holds the signed time in two's complement, so its 8 bytes
+        are a little-endian signed integer and a negative time (possible from
+        jitter near t = 0) reads back unchanged. Files written when times were
+        clamped at 0 hold none at or above 2**63, so they read as before.
         """
         chans = (CH_START_PLUS, CH_START_MINUS, CH_STOP_PLUS, CH_STOP_MINUS)
         ports = (self.start_plus, self.start_minus, self.stop_plus, self.stop_minus)
-        n = sum(len(p) for p in ports)
-        rec = np.empty(n, dtype=RECORD_DTYPE)
-        k = 0
-        for chan, times in zip(chans, ports):
-            rec["channel"][k:k + len(times)] = chan
-            rec["time_ps"][k:k + len(times)] = np.maximum(times, 0).astype(np.uint64)
-            k += len(times)
-        order = np.argsort(rec["time_ps"], kind="stable")
-        return rec[order]
+        times = np.concatenate(ports)
+        order = np.argsort(times, kind="stable")
+        rec = np.empty(len(times), dtype=RECORD_DTYPE)
+        rec["channel"] = np.repeat(np.array(chans, np.uint8), [len(p) for p in ports])[order]
+        times.sort()  # in place: no second 8-byte-per-event copy at the peak
+        rec["time_ps"] = times
+        return rec
 
     @classmethod
     def from_records(cls, records: np.ndarray, duration: float) -> "EventStream":
         chan = records["channel"]
         if chan.max(initial=0) > CH_STOP_MINUS:
             raise ValueError(f"unknown channel byte {chan.max()} in the records")
-        times = records["time_ps"].astype(np.int64)
+        times = records["time_ps"].astype(np.int64)  # back from two's complement
         ports = {}
         for name, code in (("start_plus", CH_START_PLUS), ("start_minus", CH_START_MINUS),
                            ("stop_plus", CH_STOP_PLUS), ("stop_minus", CH_STOP_MINUS)):
@@ -142,11 +142,23 @@ def accidental_rate(singles_start: float, singles_stop: float, window: float) ->
     return singles_start * singles_stop * window
 
 
-def _stop_ranges(starts: np.ndarray, stops: np.ndarray, lo_ps: int, hi_ps: int):
-    """Per start, the index range [lo, hi) of stops with stop - start in [lo_ps, hi_ps]."""
-    lo = np.searchsorted(stops, starts + lo_ps, side="left")
-    hi = np.searchsorted(stops, starts + hi_ps, side="right")
-    return lo, hi
+def _pairs(starts: np.ndarray, stops: np.ndarray, lo_ps: int, hi_ps: int):
+    """Yield (start indices, stop indices) of the pairs with stop - start in
+    [lo_ps, hi_ps], one round at a time: one search finds each start's first
+    stop past the low edge, then each start still in its window steps one stop
+    per round. Work is O(starts + pairs); rounds = most stops in one window.
+    """
+    w = np.arange(len(starts))
+    k = np.searchsorted(stops, starts + lo_ps, side="left")
+    while True:
+        inside = k < len(stops)
+        w, k = w[inside], k[inside]
+        inside = stops[k] <= starts[w] + hi_ps
+        w, k = w[inside], k[inside]
+        if not len(w):
+            return
+        yield w, k
+        k = k + 1
 
 
 def window_coincidences(stream: EventStream, tphc: TphcParams,
@@ -171,10 +183,9 @@ def window_coincidences(stream: EventStream, tphc: TphcParams,
         half_ps = int(round(tphc.window_width / 2 / PS))
         center_ps = int(round(tphc.center_offset / PS))
         for i, j in OUTCOMES:
-            lo, hi = _stop_ranges(stream.port("start", i), stream.port("stop", j),
-                                  center_ps - half_ps, center_ps + half_ps)
-            coinc[(i, j)] = int((hi - lo).sum())
-            del lo, hi  # free before the next pairing's searches
+            coinc[(i, j)] = sum(len(w) for w, _ in _pairs(
+                stream.port("start", i), stream.port("stop", j),
+                center_ps - half_ps, center_ps + half_ps))
     accidental = accidental_rate(singles_start / duration, singles_stop / duration,
                                  tphc.window_width) * duration
     return CountSummary(
@@ -198,16 +209,7 @@ def build_histogram(stream: EventStream, bin_width: float, range_: float) -> His
     stops = stream.stops()
     range_ps = int(round(range_ / PS))
     nbins = max(1, int(np.ceil(2 * range_ / bin_width)))
-    if len(starts) == 0 or len(stops) == 0:
-        return Histogram(bin_width=bin_width, origin=-range_, counts=np.zeros(nbins, dtype=np.int64))
-    lo, hi = _stop_ranges(starts, stops, -range_ps, range_ps)
-    counts_per = hi - lo
-    total = int(counts_per.sum())
-    # Gather all in-range stop indices without a Python loop.
-    cum = np.cumsum(counts_per)
-    base = np.repeat(lo, counts_per)
-    within = np.arange(total) - np.repeat(cum - counts_per, counts_per)
-    dts = (stops[base + within] - np.repeat(starts, counts_per)) * PS
+    dts = [stops[k] - starts[w] for w, k in _pairs(starts, stops, -range_ps, range_ps)]
     edges = -range_ + bin_width * np.arange(nbins + 1)
-    counts, _ = np.histogram(dts, bins=edges)
+    counts, _ = np.histogram(np.concatenate(dts or [np.empty(0, np.int64)]) * PS, bins=edges)
     return Histogram(bin_width=bin_width, origin=-range_, counts=counts.astype(np.int64))

@@ -76,47 +76,45 @@ def _quantize(times_s: np.ndarray) -> np.ndarray:
 
 def _generate_slice(config: ExperimentConfig, d1: float, d2: float,
                     t0: float, dur: float, rng: np.random.Generator):
-    """One time slice of raw (unsorted) per-port timestamps, in ps."""
+    """One time slice of raw (unsorted) per-port timestamps, in ps.
+
+    Loss thins the split pairs independently on each side, so (colouring
+    theorem) pairs detected on both sides and each side's one-sided events are
+    independent Poisson streams. Only the first needs the joint law; one-sided
+    events take its marginals: a uniform port and the long arm with prob. 1/2.
+    """
     src = config.source
     delay = config.analyzer1.path_delay
+    split = src.pair_rate * src.split_efficiency * dur
+    eta1 = src.arm1_transmission * config.detector_start.efficiency
+    eta2 = src.arm2_transmission * config.detector_stop.efficiency
 
-    n_created = rng.poisson(src.pair_rate * dur)
-    n_split = rng.binomial(n_created, src.split_efficiency) if n_created else 0
-    out = {"start_plus": [], "start_minus": [], "stop_plus": [], "stop_minus": []}
+    n_both = rng.poisson(split * eta1 * eta2)
+    emission = t0 + rng.random(n_both) * dur
+    eff_d1 = d1 + rng.normal(0.0, config.analyzer1.phase_noise_sigma, n_both)
+    eff_d2 = d2 + rng.normal(0.0, config.analyzer2.phase_noise_sigma, n_both)
+    branch, i, j = _sample_branches_outcomes(eff_d1, eff_d2, config.visibility, n_both, rng)
+    # Arm traversal offsets: the central branch collapses to a common arm
+    # (dt = 0 either way); the mixed branches sit at +-path_delay.
+    common = np.where(rng.random(n_both) < 0.5, delay, 0.0)
+    start_off = np.where(branch == 0, common, np.where(branch == 2, delay, 0.0))
+    stop_off = np.where(branch == 0, common, np.where(branch == 1, delay, 0.0))
 
-    if n_split:
-        emission = t0 + rng.random(n_split) * dur
-        eff_d1 = d1 + (rng.normal(0.0, config.analyzer1.phase_noise_sigma, n_split)
-                       if config.analyzer1.phase_noise_sigma > 0 else 0.0)
-        eff_d2 = d2 + (rng.normal(0.0, config.analyzer2.phase_noise_sigma, n_split)
-                       if config.analyzer2.phase_noise_sigma > 0 else 0.0)
-        branch, i, j = _sample_branches_outcomes(eff_d1, eff_d2, config.visibility,
-                                                 n_split, rng)
-        # Arm traversal offsets: the central branch collapses to a common arm
-        # (dt = 0 either way); the mixed branches sit at +-path_delay.
-        common_long = rng.random(n_split) < 0.5
-        start_off = np.where(branch == 0, np.where(common_long, delay, 0.0),
-                             np.where(branch == 2, delay, 0.0))
-        stop_off = np.where(branch == 0, np.where(common_long, delay, 0.0),
-                            np.where(branch == 1, delay, 0.0))
-        det1 = rng.random(n_split) < src.arm1_transmission * config.detector_start.efficiency
-        det2 = rng.random(n_split) < src.arm2_transmission * config.detector_stop.efficiency
-
-        t_start = apply_jitter((emission + start_off)[det1],
-                               config.detector_start, rng)
-        t_stop = apply_jitter((emission + stop_off)[det2] + config.tphc.center_offset,
-                              config.detector_stop, rng)
-        i_det, j_det = i[det1], j[det2]
-        out["start_plus"].append(_quantize(t_start[i_det == 1]))
-        out["start_minus"].append(_quantize(t_start[i_det == -1]))
-        out["stop_plus"].append(_quantize(t_stop[j_det == 1]))
-        out["stop_minus"].append(_quantize(t_stop[j_det == -1]))
-
-    for side, det in (("start", config.detector_start), ("stop", config.detector_stop)):
-        for port in ("plus", "minus"):
+    out = {}
+    for side, det, both_time, both_sign, mean_one, shift in (
+            ("start", config.detector_start, emission + start_off, i,
+             split * eta1 * (1.0 - eta2), 0.0),
+            ("stop", config.detector_stop, emission + stop_off, j,
+             split * (1.0 - eta1) * eta2, config.tphc.center_offset)):
+        for port, s in (("plus", 1), ("minus", -1)):
+            one_time = t0 + rng.random(rng.poisson(mean_one / 2)) * dur
+            # The times are i.i.d., so taking the first Binomial(n, 1/2) of
+            # them as the long-arm ones is the same law as a coin per event.
+            one_time[:rng.binomial(len(one_time), 0.5)] += delay
+            times = apply_jitter(np.concatenate([both_time[both_sign == s], one_time]) + shift,
+                                 det, rng)
             darks = t0 + generate_dark_counts(det.dark_rate, dur, rng)
-            out[f"{side}_{port}"].append(_quantize(darks))
-
+            out[f"{side}_{port}"] = [_quantize(times), _quantize(darks)]
     return out
 
 

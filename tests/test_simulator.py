@@ -142,6 +142,39 @@ class TestSimulateSetting:
         assert abs(got - expected) < 5 * math.sqrt(expected)
 
 
+class TestLossyThinning:
+    """Loss on both sides, where all three thinned pair streams are populated."""
+
+    def test_singles_and_peaks_match_closed_forms(self):
+        base = clean_config(pair_rate=2e5, seed=17)
+        cfg = replace(base,
+                      source=replace(base.source, arm1_transmission=0.5, arm2_transmission=0.8),
+                      detector_stop=replace(base.detector_stop, efficiency=0.5))
+        eta1, eta2, T, d1, d2 = 0.5, 0.4, 3.0, 0.7, 0.2
+        split = cfg.source.pair_rate * cfg.source.split_efficiency
+        stream = emit_event_stream(cfg, d1, d2, T, cfg.seed)
+        port_rate = {"start": split * eta1 / 2, "stop": split * eta2 / 2}
+        for side in ("start", "stop"):
+            for sign in (1, -1):
+                expected = port_rate[side] * T
+                got = len(stream.port(side, sign))
+                assert abs(got - expected) < 5 * math.sqrt(expected), (side, sign)
+
+        # Accidentals over the closed window's 351 grid points, per port pairing.
+        acc = port_rate["start"] * port_rate["stop"] * 351 * 1e-12 * T
+        both = split * eta1 * eta2 * T
+        central = window_coincidences(stream, cfg.tphc).coincidences
+        for i, j in central:
+            expected = both * coincidence_probability(i, j, d1, d2, cfg.visibility) + acc
+            assert abs(central[(i, j)] - expected) < 5 * math.sqrt(expected), (i, j)
+        delay = cfg.analyzer1.path_delay
+        for offset in (delay, -delay):
+            tphc = replace(cfg.tphc, center_offset=offset)
+            side = sum(window_coincidences(stream, tphc).coincidences.values())
+            expected = both / 4 + 4 * acc
+            assert abs(side - expected) < 5 * math.sqrt(expected), offset
+
+
 class TestEventStream:
     def test_empty_duration_rejected(self):
         with pytest.raises(ValueError):
@@ -177,6 +210,16 @@ class TestEventStream:
         records["channel"] = [CH_START_PLUS, 7, CH_STOP_PLUS]
         with pytest.raises(ValueError, match="unknown channel byte 7"):
             EventStream.from_records(records, duration=1.0)
+
+    def test_negative_time_round_trips(self, tmp_path):
+        # Jitter near t = 0 can put a detection before the run starts.
+        stream = EventStream(1.0, np.array([0, 40], dtype=np.int64), np.array([], dtype=np.int64),
+                             np.array([-3, 12], dtype=np.int64), np.array([5], dtype=np.int64))
+        path = tmp_path / "events.frsn"
+        stream.write(path)
+        back = EventStream.read(path, duration=1.0)
+        for port in ("start_plus", "start_minus", "stop_plus", "stop_minus"):
+            np.testing.assert_array_equal(getattr(stream, port), getattr(back, port))
 
     def test_binary_round_trip(self, tmp_path):
         cfg = clean_config(pair_rate=2e4, dark_stop=1e3, seed=14)
