@@ -116,6 +116,16 @@ class CountSummary:
     coincidences: Dict[Tuple[int, int], int] = field(default_factory=dict)
     accidental_estimate: float = 0.0
 
+    @classmethod
+    def from_counts(cls, duration: float, singles_start: int, singles_stop: int,
+                    coincidences: Dict[Tuple[int, int], int],
+                    window_width: float) -> "CountSummary":
+        """The summary of these counts, with the accidental estimate from the
+        singles totals: (singles_start/T)(singles_stop/T)·window·T."""
+        accidental = accidental_rate(singles_start / duration, singles_stop / duration,
+                                     window_width) * duration
+        return cls(duration, singles_start, singles_stop, coincidences, accidental)
+
 
 @dataclass
 class Histogram:
@@ -140,6 +150,13 @@ def accidental_rate(singles_start: float, singles_stop: float, window: float) ->
     if singles_start < 0 or singles_stop < 0 or window < 0:
         raise ValueError("singles rates and window width must be >= 0")
     return singles_start * singles_stop * window
+
+
+def window_edges_ps(tphc: TphcParams) -> Tuple[int, int]:
+    """The closed window [lo, hi] on dt = stop - start, in integer ps."""
+    half_ps = round(tphc.window_width / 2 / PS)
+    center_ps = round(tphc.center_offset / PS)
+    return center_ps - half_ps, center_ps + half_ps
 
 
 def _pairs(starts: np.ndarray, stops: np.ndarray, lo_ps: int, hi_ps: int):
@@ -175,41 +192,33 @@ def window_coincidences(stream: EventStream, tphc: TphcParams,
             f"side peaks at the {path_delay} s path delay",
             stacklevel=2,
         )
-    duration = stream.duration
-    singles_start = len(stream.start_plus)
-    singles_stop = len(stream.stop_plus)
     coinc = {outcome: 0 for outcome in OUTCOMES}
     if tphc.window_width > 0:
-        half_ps = int(round(tphc.window_width / 2 / PS))
-        center_ps = int(round(tphc.center_offset / PS))
+        lo, hi = window_edges_ps(tphc)
         for i, j in OUTCOMES:
             coinc[(i, j)] = sum(len(w) for w, _ in _pairs(
-                stream.port("start", i), stream.port("stop", j),
-                center_ps - half_ps, center_ps + half_ps))
-    accidental = accidental_rate(singles_start / duration, singles_stop / duration,
-                                 tphc.window_width) * duration
-    return CountSummary(
-        duration=duration,
-        singles_start=singles_start,
-        singles_stop=singles_stop,
-        coincidences=coinc,
-        accidental_estimate=accidental,
-    )
+                stream.port("start", i), stream.port("stop", j), lo, hi))
+    return CountSummary.from_counts(stream.duration, len(stream.start_plus),
+                                    len(stream.stop_plus), coinc, tphc.window_width)
 
 
 def build_histogram(stream: EventStream, bin_width: float, range_: float) -> Histogram:
     """Histogram of start-stop delays within +-range_, ports merged per side.
 
     Every (start, stop) pair with |dt| <= range_ contributes one entry, so the
-    total count equals the number of paired events.
+    total count equals the number of paired events. Sizing and filling are in
+    integer ps: the range and bin width are rounded to the grid, and the
+    ceil(2 range / bin) bins are [edge, edge + bin), the last one also holding
+    dt = +range. A bin width that rounds to 0 ps raises ``ValueError``.
     """
-    if bin_width <= 0:
-        raise ValueError(f"bin_width must be > 0, got {bin_width}")
+    bin_ps = round(bin_width / PS)
+    if bin_ps <= 0:
+        raise ValueError(f"bin_width must be at least 1 ps after rounding, got {bin_width}")
     starts = stream.starts()
     stops = stream.stops()
-    range_ps = int(round(range_ / PS))
-    nbins = max(1, int(np.ceil(2 * range_ / bin_width)))
+    range_ps = round(range_ / PS)
+    nbins = max(1, -(-2 * range_ps // bin_ps))
     dts = [stops[k] - starts[w] for w, k in _pairs(starts, stops, -range_ps, range_ps)]
-    edges = -range_ + bin_width * np.arange(nbins + 1)
-    counts, _ = np.histogram(np.concatenate(dts or [np.empty(0, np.int64)]) * PS, bins=edges)
-    return Histogram(bin_width=bin_width, origin=-range_, counts=counts.astype(np.int64))
+    index = (np.concatenate(dts or [np.empty(0, np.int64)]) + range_ps) // bin_ps
+    counts = np.bincount(np.minimum(index, nbins - 1), minlength=nbins).astype(np.int64)
+    return Histogram(bin_width=bin_ps * PS, origin=-range_ps * PS, counts=counts)

@@ -44,10 +44,12 @@ def test_window_counts_match_double_loop(stream, half, center):
 @example(stream=EventStream(1.0, _ps(0, 0), _ps(-10), _ps(-20, 10, 10), _ps()),
          range_ps=10, bin_ps=5)  # duplicates, an empty port, ties at +-range
 def test_histogram_matches_double_loop(stream, range_ps, bin_ps):
-    bin_width, range_ = bin_ps * PS, range_ps * PS
-    hist = build_histogram(stream, bin_width, range_)
+    hist = build_histogram(stream, bin_ps * PS, range_ps * PS)
     delays = brute_delays(stream.starts(), stream.stops(), -range_ps, range_ps)
-    edges = -range_ + bin_width * np.arange(len(hist.counts) + 1)
-    expected, _ = np.histogram(np.array(delays, dtype=np.int64) * PS, bins=edges)
+    # Integer-ps bins [edge, next edge); the last one is closed on the right.
+    nbins = -(-2 * range_ps // bin_ps)
+    edges = [-range_ps + bin_ps * b for b in range(nbins + 1)]
+    expected = [sum(1 for d in delays if edges[b] <= d < edges[b + 1]
+                    or (b == nbins - 1 and d == edges[b + 1])) for b in range(nbins)]
     np.testing.assert_array_equal(hist.counts, expected)
     assert hist.total == len(delays)

@@ -1,21 +1,28 @@
 import math
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from conftest import clean_config
+from fransim import simulator
 from fransim.config import ConfigError, DetectorParams, TphcParams, loads_config
 from fransim.events import (
     CH_START_PLUS,
     CH_STOP_PLUS,
+    PS,
     RECORD_DTYPE,
     EventStream,
     window_coincidences,
 )
 from fransim.quantum import coincidence_probability
 from fransim.simulator import (
+    SLICE_PS,
     _sample_branches_outcomes,
     apply_jitter,
     emit_event_stream,
@@ -25,6 +32,7 @@ from fransim.simulator import (
 )
 
 CENTRAL = 0  # branch code of _sample_branches_outcomes; 1 and 2 are the side peaks
+PORTS = ("start_plus", "start_minus", "stop_plus", "stop_minus")
 
 
 class TestSamplePairBranch:
@@ -142,14 +150,17 @@ class TestSimulateSetting:
         assert abs(got - expected) < 5 * math.sqrt(expected)
 
 
+def _lossy(cfg):
+    """``cfg`` with loss on both sides, so all three thinned streams are populated."""
+    return replace(cfg, source=replace(cfg.source, arm1_transmission=0.5, arm2_transmission=0.8),
+                   detector_stop=replace(cfg.detector_stop, efficiency=0.5))
+
+
 class TestLossyThinning:
     """Loss on both sides, where all three thinned pair streams are populated."""
 
     def test_singles_and_peaks_match_closed_forms(self):
-        base = clean_config(pair_rate=2e5, seed=17)
-        cfg = replace(base,
-                      source=replace(base.source, arm1_transmission=0.5, arm2_transmission=0.8),
-                      detector_stop=replace(base.detector_stop, efficiency=0.5))
+        cfg = _lossy(clean_config(pair_rate=2e5, seed=17))
         eta1, eta2, T, d1, d2 = 0.5, 0.4, 3.0, 0.7, 0.2
         split = cfg.source.pair_rate * cfg.source.split_efficiency
         stream = emit_event_stream(cfg, d1, d2, T, cfg.seed)
@@ -183,10 +194,40 @@ class TestEventStream:
     def test_stream_reproduces_summary(self):
         cfg = clean_config(pair_rate=2e4, dark_start=500.0, dark_stop=2e3,
                            jitter_stop=200e-12)
-        for seed in range(1, 11):
-            stream = emit_event_stream(cfg, 0.4, -0.1, 1.2, seed)
-            assert window_coincidences(stream, cfg.tphc) == \
-                simulate_setting(cfg, 0.4, -0.1, 1.2, seed)
+        jittery = replace(cfg, detector_start=replace(cfg.detector_start, jitter_fwhm=150e-12))
+        # Every variant keeps the default 0.7 ns path delay of clean_config.
+        variants = [(cfg, 1.2), (cfg, 3.7), (jittery, 3.7), (_lossy(cfg), 3.7)]
+        variants += [(replace(jittery, tphc=replace(cfg.tphc, center_offset=offset)), 2.5)
+                     for offset in (130e-12, -130e-12)]
+        for config, duration in variants:
+            for seed in range(1, 11):
+                stream = emit_event_stream(config, 0.4, -0.1, duration, seed)
+                assert window_coincidences(stream, config.tphc) == \
+                    simulate_setting(config, 0.4, -0.1, duration, seed), (config, duration)
+
+    def test_spans_concatenate_to_the_whole_run(self):
+        cfg = _lossy(clean_config(pair_rate=5e4, dark_start=1e3, dark_stop=2e3,
+                                  jitter_stop=200e-12))
+        whole = emit_event_stream(cfg, 0.3, 0.2, 3.7, 7)
+        spans = [emit_event_stream(cfg, 0.3, 0.2, duration, 7, start=start)
+                 for start, duration in ((0.0, 1.0), (1.0, 2.0), (3.0, 3.7 - 3.0))]
+        for port in PORTS:
+            joined = np.sort(np.concatenate([getattr(span, port) for span in spans]))
+            np.testing.assert_array_equal(joined, getattr(whole, port))
+
+    @pytest.mark.parametrize("start", [0.5, -1.0, float("nan")])
+    def test_start_off_a_slice_boundary_rejected(self, start):
+        with pytest.raises(ValueError, match="whole number"):
+            emit_event_stream(clean_config(), 0, 0, 1.0, 1, start=start)
+
+    def test_integer_time_base_keeps_picoseconds_late_in_a_run(self):
+        # 2**20 s (~12 days) in: float64 seconds there are spaced 2**-32 s ~ 233 ps.
+        cfg = clean_config(pair_rate=0.0, dark_start=1e6)
+        stream = emit_event_stream(cfg, 0.0, 0.0, 1.0, 3, start=2**20)
+        times = np.sort(np.concatenate([stream.start_plus, stream.start_minus]))
+        assert times[0] >= 2**20 * 10**12 and times[-1] < (2**20 + 1) * 10**12
+        gaps = np.diff(times)
+        assert gaps[gaps > 0].min() <= 5
 
     def test_records_sorted_and_distinct(self):
         cfg = clean_config(pair_rate=5e4, jitter_stop=200e-12, seed=13)
@@ -254,3 +295,64 @@ class TestConfigValidationPath:
         with pytest.warns(UserWarning, match="side peaks"):
             window_coincidences(stream, TphcParams(window_width=1.6e-9),
                                 path_delay=0.7e-9)
+
+
+class TestStreamingSlices:
+    """simulate_setting windows each slice as it is made and carries only the
+    events near the next boundary; these check that cut and carry."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(data=st.data(), n_slices=st.integers(1, 3), half=st.integers(1, 340),
+           center=st.integers(-400, 400))
+    def test_cut_and_carry_counts_every_pair_once(self, data, n_slices, half, center):
+        # Hand-made slices crowd events around each boundary. Like real ones,
+        # a slice's starts lie at or past its start and its stops may lead it
+        # by a negative center offset (jitter is off, so that is the whole lead).
+        tphc = TphcParams(window_width=2 * half * PS, center_offset=center * PS)
+        cfg = replace(clean_config(), tphc=tphc)
+        offsets = st.lists(st.integers(0, 3000), max_size=5)
+        slices = []
+        for k in range(n_slices):
+            ports = {}
+            for name in PORTS:
+                floor = k * SLICE_PS + (min(center, 0) if name.startswith("stop") else 0)
+                times = [floor + off for off in data.draw(offsets)]
+                times += [(k + 1) * SLICE_PS - 1500 + off for off in data.draw(offsets)]
+                ports[name] = np.sort(np.array(times, dtype=np.int64))
+            slices.append(ports)
+
+        def fake_emit(config, d1, d2, duration, seed, *, start=0.0):
+            return EventStream(duration, **slices[int(start)])
+
+        with mock.patch.object(simulator, "emit_event_stream", fake_emit):
+            got = simulate_setting(cfg, 0.0, 0.0, float(n_slices), 1)
+        whole = EventStream(float(n_slices), **{
+            name: np.sort(np.concatenate([ports[name] for ports in slices])) for name in PORTS})
+        assert got == window_coincidences(whole, tphc)
+
+    def test_event_before_the_margin_raises(self, monkeypatch):
+        real_emit = simulator.emit_event_stream
+
+        def early_emit(config, d1, d2, duration, seed, *, start=0.0):
+            stream = real_emit(config, d1, d2, duration, seed, start=start)
+            if start == 1.0:  # one start 1 us before the slice opens
+                stream.start_plus = np.concatenate([[SLICE_PS - 10**6], stream.start_plus])
+            return stream
+
+        monkeypatch.setattr(simulator, "emit_event_stream", early_emit)
+        with pytest.raises(RuntimeError, match="slice 1 emitted a start_plus event"):
+            simulate_setting(clean_config(pair_rate=1e4), 0.0, 0.0, 2.0, 1)
+
+    def test_memory_is_bounded_by_one_slice(self):
+        # The acceptance 1b dark run: with the whole stream built, the peak
+        # grew with the duration (about 4x from 2 s to 8 s).
+        cfg = clean_config(pair_rate=0.0, dark_start=250e3, dark_stop=380e3, seed=101)
+        peaks = []
+        for duration in (2.0, 8.0):
+            tracemalloc.start()
+            try:
+                simulate_setting(cfg, 0.0, 0.0, duration, cfg.seed)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 0.15 * peaks[0], peaks
