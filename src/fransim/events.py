@@ -3,7 +3,9 @@ coincidence / histogram machinery shared by the simulator and the analysis
 layer.
 
 Timestamps are integer picoseconds; the coincidence window test is closed on
-both edges at that quantization.
+both edges at that quantization. Pairing works on packed keys
+``time_ps * 4 + channel``: one sorted array holds every port, so the events
+that can pair are the ones whose neighbours lie within the window's reach.
 """
 from __future__ import annotations
 
@@ -27,6 +29,10 @@ CH_START_PLUS = 0
 CH_STOP_PLUS = 1
 CH_START_MINUS = 2
 CH_STOP_MINUS = 3
+# EventStream port of each channel byte, in channel order.
+CHANNEL_PORTS = ("start_plus", "stop_plus", "start_minus", "stop_minus")
+# Packed keys hold times with |t| < 2**61 ps (about 26.7 days) in an int64.
+PACK_LIMIT_PS = 2**61
 
 OUTCOMES: Tuple[Tuple[int, int], ...] = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
@@ -52,22 +58,24 @@ class EventStream:
     def stops(self) -> np.ndarray:
         return np.sort(np.concatenate([self.stop_plus, self.stop_minus]))
 
+    def keys(self) -> np.ndarray:
+        """Every event as a sorted packed key (see :func:`pack_keys`)."""
+        return pack_keys([getattr(self, name) for name in CHANNEL_PORTS])
+
     def to_records(self) -> np.ndarray:
-        """Time-ordered structured array of (channel, time_ps) records.
+        """Structured array of (channel, time_ps) records, ordered by time and,
+        at equal times, by channel byte.
 
         ``time_ps`` holds the signed time in two's complement, so its 8 bytes
         are a little-endian signed integer and a negative time (possible from
         jitter near t = 0) reads back unchanged. Files written when times were
         clamped at 0 hold none at or above 2**63, so they read as before.
         """
-        chans = (CH_START_PLUS, CH_START_MINUS, CH_STOP_PLUS, CH_STOP_MINUS)
-        ports = (self.start_plus, self.start_minus, self.stop_plus, self.stop_minus)
-        times = np.concatenate(ports)
-        order = np.argsort(times, kind="stable")
-        rec = np.empty(len(times), dtype=RECORD_DTYPE)
-        rec["channel"] = np.repeat(np.array(chans, np.uint8), [len(p) for p in ports])[order]
-        times.sort()  # in place: no second 8-byte-per-event copy at the peak
-        rec["time_ps"] = times
+        keys = self.keys()
+        rec = np.empty(len(keys), dtype=RECORD_DTYPE)
+        np.bitwise_and(keys, 3, out=rec["channel"], casting="unsafe")
+        keys >>= 2  # in place: no second 8-byte-per-event copy at the peak
+        rec["time_ps"] = keys
         return rec
 
     @classmethod
@@ -76,10 +84,7 @@ class EventStream:
         if chan.max(initial=0) > CH_STOP_MINUS:
             raise ValueError(f"unknown channel byte {chan.max()} in the records")
         times = records["time_ps"].astype(np.int64)  # back from two's complement
-        ports = {}
-        for name, code in (("start_plus", CH_START_PLUS), ("start_minus", CH_START_MINUS),
-                           ("stop_plus", CH_STOP_PLUS), ("stop_minus", CH_STOP_MINUS)):
-            ports[name] = np.sort(times[chan == code])
+        ports = {name: np.sort(times[chan == code]) for code, name in enumerate(CHANNEL_PORTS)}
         return cls(duration=duration, **ports)
 
     def write(self, path) -> None:
@@ -159,23 +164,69 @@ def window_edges_ps(tphc: TphcParams) -> Tuple[int, int]:
     return center_ps - half_ps, center_ps + half_ps
 
 
-def _pairs(starts: np.ndarray, stops: np.ndarray, lo_ps: int, hi_ps: int):
-    """Yield (start indices, stop indices) of the pairs with stop - start in
-    [lo_ps, hi_ps], one round at a time: one search finds each start's first
-    stop past the low edge, then each start still in its window steps one stop
-    per round. Work is O(starts + pairs); rounds = most stops in one window.
+def pack_keys(ports) -> np.ndarray:
+    """Sorted int64 keys ``time_ps * 4 + channel``, where ``ports[channel]``
+    holds the ps times of that channel byte.
+
+    Keys order events by time and, at equal times, by channel byte; ``key >> 2``
+    is the time and ``key & 3`` the channel. A time with |t| >= 2**61 ps does
+    not fit and raises ``ValueError``. The sort is in place (numpy's default
+    kind), so packing needs no buffer beyond the keys.
     """
-    w = np.arange(len(starts))
-    k = np.searchsorted(stops, starts + lo_ps, side="left")
-    while True:
-        inside = k < len(stops)
-        w, k = w[inside], k[inside]
-        inside = stops[k] <= starts[w] + hi_ps
-        w, k = w[inside], k[inside]
-        if not len(w):
-            return
-        yield w, k
-        k = k + 1
+    keys = np.empty(sum(len(times) for times in ports), np.int64)
+    end = 0
+    for channel, times in enumerate(ports):
+        if len(times) and max(-times.min(), times.max()) >= PACK_LIMIT_PS:
+            raise ValueError(f"event time outside the packable +-2**61 ps, "
+                             f"{times.min()} to {times.max()} ps on channel {channel}")
+        begin, end = end, end + len(times)
+        np.multiply(times, 4, out=keys[begin:end])
+        keys[begin:end] += channel
+    keys.sort()
+    return keys
+
+
+# Neighbour gaps are scanned this many keys at a time, so the scan's
+# temporaries stay small next to a whole run's key array.
+_GAP_CHUNK = 1 << 16
+
+
+def pair_positions(keys: np.ndarray, lo_ps: int, hi_ps: int):
+    """Positions in sorted packed ``keys`` of the (start, stop) pairs with
+    stop - start in [lo_ps, hi_ps], each pair once.
+
+    Both events of a pair lie within the reach max(-lo_ps, hi_ps) of each
+    other, so every key between them is within 4 reach + 3 of its successor.
+    A neighbour-gap pass keeps the few positions whose next key is that close;
+    round r then looks r keys ahead of each one still in reach, checks the
+    side bits and the exact dt, and drops the positions whose r+1-th
+    successor is out of reach. Rounds = most events within one reach.
+    """
+    gap = 4 * max(-lo_ps, hi_ps) + 3
+    near = [np.flatnonzero(np.diff(keys[i:i + _GAP_CHUNK + 1]) <= gap) + i
+            for i in range(0, len(keys) - 1, _GAP_CHUNK)]
+    p = np.concatenate(near) if near else np.empty(0, np.int64)
+    starts, stops = [], []
+    step = 1
+    while len(p):
+        a, b = keys[p], keys[p + step]
+        start_first = (a & 1) < (b & 1)  # a is a start and b a stop
+        dt = np.where(start_first, 1, -1) * ((b >> 2) - (a >> 2))
+        pair = ((a & 1) != (b & 1)) & (lo_ps <= dt) & (dt <= hi_ps)
+        starts.append(np.where(start_first, p, p + step)[pair])
+        stops.append(np.where(start_first, p + step, p)[pair])
+        step += 1
+        p = p[p + step < len(keys)]
+        p = p[keys[p + step] - keys[p] <= gap]
+    if not starts:
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+    return np.concatenate(starts), np.concatenate(stops)
+
+
+def pairing_counts(keys: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """Pairs per output-port pairing, in :data:`OUTCOMES` order, from the
+    port bit (bit 1) of each pair's start and stop key."""
+    return np.bincount((keys[starts] & 2) | (keys[stops] & 2) >> 1, minlength=4)
 
 
 def window_coincidences(stream: EventStream, tphc: TphcParams,
@@ -192,12 +243,11 @@ def window_coincidences(stream: EventStream, tphc: TphcParams,
             f"side peaks at the {path_delay} s path delay",
             stacklevel=2,
         )
-    coinc = {outcome: 0 for outcome in OUTCOMES}
+    coinc = dict.fromkeys(OUTCOMES, 0)
     if tphc.window_width > 0:
-        lo, hi = window_edges_ps(tphc)
-        for i, j in OUTCOMES:
-            coinc[(i, j)] = sum(len(w) for w, _ in _pairs(
-                stream.port("start", i), stream.port("stop", j), lo, hi))
+        keys = stream.keys()
+        counts = pairing_counts(keys, *pair_positions(keys, *window_edges_ps(tphc)))
+        coinc = dict(zip(OUTCOMES, counts.tolist()))
     return CountSummary.from_counts(stream.duration, len(stream.start_plus),
                                     len(stream.stop_plus), coinc, tphc.window_width)
 
@@ -214,11 +264,10 @@ def build_histogram(stream: EventStream, bin_width: float, range_: float) -> His
     bin_ps = round(bin_width / PS)
     if bin_ps <= 0:
         raise ValueError(f"bin_width must be at least 1 ps after rounding, got {bin_width}")
-    starts = stream.starts()
-    stops = stream.stops()
     range_ps = round(range_ / PS)
     nbins = max(1, -(-2 * range_ps // bin_ps))
-    dts = [stops[k] - starts[w] for w, k in _pairs(starts, stops, -range_ps, range_ps)]
-    index = (np.concatenate(dts or [np.empty(0, np.int64)]) + range_ps) // bin_ps
+    keys = stream.keys()
+    starts, stops = pair_positions(keys, -range_ps, range_ps)
+    index = ((keys[stops] >> 2) - (keys[starts] >> 2) + range_ps) // bin_ps
     counts = np.bincount(np.minimum(index, nbins - 1), minlength=nbins).astype(np.int64)
     return Histogram(bin_width=bin_ps * PS, origin=-range_ps * PS, counts=counts)

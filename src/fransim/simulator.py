@@ -13,10 +13,15 @@ import numpy as np
 
 from .config import DetectorParams, ExperimentConfig, validate_config
 from .events import (
+    CHANNEL_PORTS,
     OUTCOMES,
+    PACK_LIMIT_PS,
     PS,
     CountSummary,
     EventStream,
+    pack_keys,
+    pair_positions,
+    pairing_counts,
     window_coincidences,
     window_edges_ps,
 )
@@ -75,11 +80,12 @@ def _sample_branches_outcomes(d1, d2, vis, n: int, rng: np.random.Generator):
 
 def generate_dark_counts(rate: float, duration: float,
                          rng: np.random.Generator) -> np.ndarray:
-    """Homogeneous Poisson process: sorted timestamps (seconds) on [0, duration)."""
+    """Homogeneous Poisson process: timestamps (seconds) on [0, duration), in
+    draw order; :func:`emit_event_stream` sorts each port once."""
     if rate < 0:
         raise ValueError(f"dark rate must be >= 0, got {rate}")
     n = rng.poisson(rate * duration)
-    return np.sort(rng.random(n) * duration)
+    return rng.random(n) * duration
 
 
 def _quantize(local_s: np.ndarray, t0_ps: int) -> np.ndarray:
@@ -136,17 +142,26 @@ def _generate_slice(config: ExperimentConfig, d1: float, d2: float,
     return out
 
 
+def _check_span_end(first_slice: int, duration: float) -> None:
+    """Raise ``ValueError`` if a span from slice ``first_slice`` lasting
+    ``duration`` seconds ends past the packable time range (2**61 ps)."""
+    end_ps = first_slice * SLICE_PS + round(duration / PS)
+    if end_ps > PACK_LIMIT_PS:
+        raise ValueError(f"the span ends at {end_ps} ps, past the {PACK_LIMIT_PS} ps "
+                         f"(about 26.7 days) that event keys can hold")
+
+
 def emit_event_stream(config: ExperimentConfig, d1: float, d2: float,
                       duration: float, seed: int, *, start: float = 0.0) -> EventStream:
     """Detection record of ``[start, start + duration)``: per-port sorted ps
     timestamps, made by slices ``start / SLICE_SECONDS, ...`` of the run.
 
-    ``start`` must be a non-negative whole number of slices. Each slice draws
-    from its own (seed, slice index) stream, so concatenating the records of
-    consecutive spans port by port, then sorting, gives the record of the
-    whole span. Feeding a whole-run record (``start = 0``) into
-    :func:`fransim.events.window_coincidences` reproduces
-    :func:`simulate_setting` exactly for the same seed.
+    ``start`` must be a non-negative whole number of slices, and the span must
+    end within 2**61 ps. Each slice draws from its own (seed, slice index)
+    stream, so concatenating the records of consecutive spans port by port,
+    then sorting, gives the record of the whole span. Feeding a whole-run
+    record (``start = 0``) into :func:`fransim.events.window_coincidences`
+    reproduces :func:`simulate_setting` exactly for the same seed.
     """
     if duration <= 0:
         raise ValueError(f"duration must be > 0, got {duration}")
@@ -154,9 +169,10 @@ def emit_event_stream(config: ExperimentConfig, d1: float, d2: float,
     if not start >= 0 or rest:
         raise ValueError(f"start must be a non-negative whole number of "
                          f"{SLICE_SECONDS} s slices, got {start}")
+    _check_span_end(int(first), duration)
     validate_config(config)
 
-    parts = {"start_plus": [], "start_minus": [], "stop_plus": [], "stop_minus": []}
+    parts = {name: [] for name in CHANNEL_PORTS}
     n_slices = max(1, int(math.ceil(duration / SLICE_SECONDS)))
     for n in range(n_slices):
         k = int(first) + n
@@ -165,16 +181,10 @@ def emit_event_stream(config: ExperimentConfig, d1: float, d2: float,
         for name, chunks in _generate_slice(config, d1, d2, k * SLICE_PS, dur, rng).items():
             parts[name].extend(chunks)
 
-    ports = {
-        name: np.sort(np.concatenate(chunks))
-        for name, chunks in parts.items()
-    }
+    ports = {name: np.concatenate(chunks) for name, chunks in parts.items()}
+    for times in ports.values():
+        times.sort()  # in place: np.sort would copy each port once more
     return EventStream(duration=duration, **ports)
-
-
-def _merge(carried: np.ndarray, fresh: np.ndarray) -> np.ndarray:
-    """Sorted union of two sorted arrays; ``carried`` is the short one."""
-    return np.insert(fresh, np.searchsorted(fresh, carried), carried) if len(carried) else fresh
 
 
 def simulate_setting(config: ExperimentConfig, d1: float, d2: float,
@@ -182,19 +192,20 @@ def simulate_setting(config: ExperimentConfig, d1: float, d2: float,
     """Simulate one phase setting and window-discriminate the coincidences.
 
     Each 1 s slice is made by :func:`emit_event_stream` (``start`` = slice
-    start), merged into the events carried from the slice before, and
-    window-counted at once, so memory is bounded by one slice, not the run.
-    With ``margin`` = window reach (half-width + |center_offset|) plus
-    ``JITTER_SIGMAS`` of the larger detector jitter, the starts below
-    ``cut`` = next slice start - ``margin`` are counted against every stop in
-    hand; starts at or past ``cut`` and the stops they may still pair with
-    (at or past ``cut`` + the window's low edge) carry to the next slice. On
-    the last slice ``cut`` is +infinity.
+    start) and counted at once, so memory is bounded by one slice, not the
+    run. A pair is counted when its later event's slice is made: the pairs
+    within the slice by :func:`fransim.events.window_coincidences`, the pairs
+    reaching back into earlier slices by the same pair walk on the carried
+    keys merged with the slice's head, its events within the window's reach
+    of the last carried one. With ``margin`` = window reach (half-width +
+    |center_offset|) plus ``JITTER_SIGMAS`` of the larger detector jitter, the
+    carry keeps the events at or past ``t0 - margin + min(lo, 0)`` of the next
+    slice (``lo`` = the window's low edge).
 
     That is exact because of the margin invariant, checked on every slice:
     a slice emits no start before its ``t0 - margin`` and no stop before
     ``t0 - margin + max(hi, 0)`` (``hi`` = the window's high edge), so no
-    later slice holds a partner of a start below ``cut``. A violation raises
+    earlier event below the carry can pair with it. A violation raises
     ``RuntimeError``. The counts equal :func:`fransim.events.window_coincidences`
     on the whole-run :func:`emit_event_stream` record for the same seed.
 
@@ -205,43 +216,53 @@ def simulate_setting(config: ExperimentConfig, d1: float, d2: float,
     """
     if duration <= 0:
         raise ValueError(f"duration must be > 0, got {duration}")
+    _check_span_end(0, duration)
     validate_config(config)
     lo, hi = window_edges_ps(config.tphc)
+    reach = max(-lo, hi)
     sigma = fwhm_to_sigma(max(config.detector_start.jitter_fwhm,
                               config.detector_stop.jitter_fwhm))
     # +1 ps covers rounding the shifted, jittered times to the grid.
-    margin = max(-lo, hi) + math.ceil(JITTER_SIGMAS * sigma / PS) + 1
-    empty = np.empty(0, np.int64)
-    carry = {"start_plus": empty, "start_minus": empty, "stop_plus": empty, "stop_minus": empty}
-    coinc = dict.fromkeys(OUTCOMES, 0)
+    margin = reach + math.ceil(JITTER_SIGMAS * sigma / PS) + 1
+    carry = np.empty(0, np.int64)  # sorted keys of earlier events a later slice may reach
+    coinc = np.zeros(len(OUTCOMES), np.int64)
     singles_start = singles_stop = 0
     n_slices = max(1, int(math.ceil(duration / SLICE_SECONDS)))
     for k in range(n_slices):
         t0 = k * SLICE_SECONDS
         dur = min(SLICE_SECONDS, duration - t0)
         part = emit_event_stream(config, d1, d2, dur, seed, start=t0)
-        singles_start += len(part.start_plus)
-        singles_stop += len(part.stop_plus)
-        for name in carry:
-            times = getattr(part, name)
+        ports = [getattr(part, name) for name in CHANNEL_PORTS]
+        for name, times in zip(CHANNEL_PORTS, ports):
             floor = k * SLICE_PS - margin + (max(hi, 0) if name.startswith("stop") else 0)
             if len(times) and times[0] < floor:
                 raise RuntimeError(
                     f"slice {k} emitted a {name} event at {times[0]} ps, before its "
                     f"{floor} ps floor: the {margin} ps stream margin is too small")
-            carry[name] = _merge(carry[name], times)
-        # Events from keep[name] on carry: the starts at or past the cut and
-        # the stops a carried start may still reach.
-        cut = (k + 1) * SLICE_PS - margin
-        keep = {name: len(times) if k == n_slices - 1 else
-                int(np.searchsorted(times, cut + (lo if name.startswith("stop") else 0)))
-                for name, times in carry.items()}
-        counted = window_coincidences(
-            EventStream(dur, carry["start_plus"][:keep["start_plus"]],
-                        carry["start_minus"][:keep["start_minus"]],
-                        carry["stop_plus"], carry["stop_minus"]), config.tphc)
-        for key, n in counted.coincidences.items():
-            coinc[key] += n
-        carry = {name: times[keep[name]:].copy() for name, times in carry.items()}
-    return CountSummary.from_counts(duration, singles_start, singles_stop, coinc,
+        singles_start += len(part.start_plus)
+        singles_stop += len(part.stop_plus)
+        counted = window_coincidences(part, config.tphc)
+        coinc += [counted.coincidences[outcome] for outcome in OUTCOMES]
+        if len(carry):
+            reachable = (carry[-1] >> 2) + reach
+            head = pack_keys([times[:np.searchsorted(times, reachable, side="right")]
+                              for times in ports])
+            coinc += _carried_pairs(carry, head, lo, hi)
+        bound = (k + 1) * SLICE_PS - margin + min(lo, 0)
+        tail = pack_keys([times[np.searchsorted(times, bound):] for times in ports])
+        carry = np.sort(np.concatenate([carry[np.searchsorted(carry, bound * 4):], tail]))
+        del part, ports  # free this slice before the next one is made
+    return CountSummary.from_counts(duration, singles_start, singles_stop,
+                                    dict(zip(OUTCOMES, coinc.tolist())),
                                     config.tphc.window_width)
+
+
+def _carried_pairs(carried: np.ndarray, head: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Pairs per pairing with one event in each of two sorted key arrays."""
+    merged = np.concatenate([carried, head])
+    order = np.argsort(merged, kind="stable")
+    from_head = order >= len(carried)
+    keys = merged[order]
+    starts, stops = pair_positions(keys, lo, hi)
+    across = from_head[starts] != from_head[stops]
+    return pairing_counts(keys, starts[across], stops[across])

@@ -142,6 +142,16 @@ class TestCli:
         assert rc != 0
         assert "unknown key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["detector_stop.jitter_fwhm", "detector_start.dark_rate",
+                                     "analyzer1.phase_noise_sigma", "wavelength1"])
+    def test_non_finite_value_is_rejected(self, key, tmp_path, capsys):
+        # 1e400 parses to inf.
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(SMALL_CFG + f"{key} = 1e400\n")
+        rc = main(["simulate", "--config", str(bad), "--out", str(tmp_path / "y.csv")])
+        assert rc == 2
+        assert f"{key}: must be finite" in capsys.readouterr().err
+
     def test_lhv_command_respects_bound(self, tmp_path):
         out = tmp_path / "lhv.txt"
         rc = main(["lhv", "--quiet", "--pairs", "100000", "--seed", "5",

@@ -1,14 +1,23 @@
-"""Window counts and delay histograms against an O(n*m) double loop.
+"""Window counts and delay histograms against an O(n*m) double loop, and the
+FRSN record round trip.
 
 Small streams on a narrow integer-picosecond range make duplicate timestamps,
-empty ports and pairs exactly on the window and histogram edges common.
+ties across ports, empty ports and pairs exactly on the window and histogram
+edges common.
 """
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fransim.config import TphcParams
-from fransim.events import OUTCOMES, PS, EventStream, build_histogram, window_coincidences
+from fransim.events import (
+    CHANNEL_PORTS,
+    OUTCOMES,
+    PS,
+    EventStream,
+    build_histogram,
+    window_coincidences,
+)
 
 port_times = st.lists(st.integers(-40, 40), max_size=12).map(
     lambda times: np.sort(np.array(times, dtype=np.int64)))
@@ -53,3 +62,18 @@ def test_histogram_matches_double_loop(stream, range_ps, bin_ps):
                     or (b == nbins - 1 and d == edges[b + 1])) for b in range(nbins)]
     np.testing.assert_array_equal(hist.counts, expected)
     assert hist.total == len(delays)
+
+
+@settings(deadline=None)
+@given(stream=streams)
+@example(stream=EventStream(1.0, _ps(-5, 0, 0), _ps(0), _ps(-5, 0), _ps(-5, 0, 9)))  # ties
+def test_records_round_trip(stream, tmp_path_factory):
+    records = stream.to_records()
+    time = records["time_ps"].astype(np.int64)
+    step, channel_step = np.diff(time), np.diff(records["channel"].astype(np.int64))
+    assert np.all((step > 0) | ((step == 0) & (channel_step >= 0)))  # by (time, channel)
+    path = tmp_path_factory.mktemp("frsn") / "events.frsn"
+    stream.write(path)
+    for back in (EventStream.from_records(records, 1.0), EventStream.read(path, 1.0)):
+        for port in CHANNEL_PORTS:
+            np.testing.assert_array_equal(getattr(back, port), getattr(stream, port))

@@ -15,9 +15,11 @@ from fransim.config import ConfigError, DetectorParams, TphcParams, loads_config
 from fransim.events import (
     CH_START_PLUS,
     CH_STOP_PLUS,
+    PACK_LIMIT_PS,
     PS,
     RECORD_DTYPE,
     EventStream,
+    pack_keys,
     window_coincidences,
 )
 from fransim.quantum import coincidence_probability
@@ -101,7 +103,7 @@ class TestDarkCounts:
 
     def test_interarrival_times_are_exponential(self):
         times = generate_dark_counts(5e4, 10.0, np.random.default_rng(6))
-        gaps = np.diff(times)
+        gaps = np.diff(np.sort(times))
         _, p = stats.kstest(gaps, "expon", args=(0, 1 / 5e4))
         assert p > 0.01
 
@@ -229,6 +231,25 @@ class TestEventStream:
         gaps = np.diff(times)
         assert gaps[gaps > 0].min() <= 5
 
+    def test_pack_keys_hold_times_below_two_to_the_61_ps(self):
+        edge = np.array([-(PACK_LIMIT_PS - 1), PACK_LIMIT_PS - 1], dtype=np.int64)
+        keys = pack_keys([edge, edge[:1], edge[1:], np.empty(0, np.int64)])
+        np.testing.assert_array_equal(keys >> 2, [edge[0], edge[0], edge[1], edge[1]])
+        np.testing.assert_array_equal(keys & 3, [0, 1, 0, 2])
+        for time in (PACK_LIMIT_PS, -PACK_LIMIT_PS):
+            with pytest.raises(ValueError, match="packable"):
+                pack_keys([np.empty(0, np.int64), np.array([0, time], dtype=np.int64)])
+
+    def test_span_ending_past_the_packing_limit_rejected(self):
+        # Slice 2305843 holds the limit: 2**61 ps = 2305843 s + 9213693952 ps.
+        cfg = clean_config(pair_rate=0.0, dark_start=1e3)
+        first = PACK_LIMIT_PS // SLICE_PS
+        at_edge = (PACK_LIMIT_PS - first * SLICE_PS) * PS
+        stream = emit_event_stream(cfg, 0.0, 0.0, at_edge, 1, start=float(first))
+        assert stream.keys()[-1] >> 2 < PACK_LIMIT_PS
+        with pytest.raises(ValueError, match="26.7 days"):
+            emit_event_stream(cfg, 0.0, 0.0, at_edge + PS, 1, start=float(first))
+
     def test_records_sorted_and_distinct(self):
         cfg = clean_config(pair_rate=5e4, jitter_stop=200e-12, seed=13)
         records = emit_event_stream(cfg, 0.2, 0.3, 1.0, cfg.seed).to_records()
@@ -342,6 +363,21 @@ class TestStreamingSlices:
         monkeypatch.setattr(simulator, "emit_event_stream", early_emit)
         with pytest.raises(RuntimeError, match="slice 1 emitted a start_plus event"):
             simulate_setting(clean_config(pair_rate=1e4), 0.0, 0.0, 2.0, 1)
+
+    def test_run_ending_past_the_packing_limit_rejected(self, monkeypatch):
+        class Emitted(Exception):
+            pass
+
+        def emit(*args, **kwargs):
+            raise Emitted
+
+        monkeypatch.setattr(simulator, "emit_event_stream", emit)
+        at_edge = PACK_LIMIT_PS * PS
+        assert round(at_edge / PS) == PACK_LIMIT_PS
+        with pytest.raises(Emitted):  # the run starts
+            simulate_setting(clean_config(), 0.0, 0.0, at_edge, 1)
+        with pytest.raises(ValueError, match="26.7 days"):
+            simulate_setting(clean_config(), 0.0, 0.0, math.nextafter(at_edge, math.inf), 1)
 
     def test_memory_is_bounded_by_one_slice(self):
         # The acceptance 1b dark run: with the whole stream built, the peak
