@@ -28,6 +28,17 @@ class ConfigError(ValueError):
     """Configuration parse or invariant failure; message carries the key path."""
 
 
+SLICE_SECONDS = 1.0  # the simulator's batching granularity for the derived RNG streams
+# Jitter bound of the simulator's streaming margin, in standard deviations: a
+# Gaussian offset lies past it with probability below 1e-32 per event. It
+# must fit in one slice, so validation rejects a wider jitter.
+JITTER_SIGMAS = 12
+
+
+def fwhm_to_sigma(fwhm: float) -> float:
+    return fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+
+
 @dataclass
 class SourceParams:
     pair_rate: float = 2.0e7            # created pairs / s
@@ -126,6 +137,9 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         _check_prob(det.efficiency, f"{name}.efficiency")
         _require(det.dark_rate >= 0, f"{name}.dark_rate", "must be >= 0")
         _require(det.jitter_fwhm >= 0, f"{name}.jitter_fwhm", "must be >= 0")
+        _require(JITTER_SIGMAS * fwhm_to_sigma(det.jitter_fwhm) <= SLICE_SECONDS,
+                 f"{name}.jitter_fwhm", f"its {JITTER_SIGMAS}-sigma reach must fit in one "
+                 f"{SLICE_SECONDS} s slice, got {det.jitter_fwhm} s")
     _require(cfg.tphc.window_width > 0, "tphc.window_width", "must be > 0")
     _require(
         cfg.tphc.window_width < cfg.analyzer1.path_delay,

@@ -39,28 +39,41 @@ OUTCOMES: Tuple[Tuple[int, int], ...] = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 RECORD_DTYPE = np.dtype([("channel", "u1"), ("time_ps", "<u8")])
 
 
+def _port(channel: int) -> property:
+    """The sorted ps times of one channel byte; assigning new ones repacks."""
+    def times(self) -> np.ndarray:
+        return self.keys[(self.keys & 3) == channel] >> 2
+
+    def repack(self, new: np.ndarray) -> None:
+        self.keys = pack_keys([new if c == channel else getattr(self, name)
+                               for c, name in enumerate(CHANNEL_PORTS)])
+    return property(times, repack)
+
+
 @dataclass
 class EventStream:
-    """Per-port sorted detection timestamps (int64 picoseconds) for one run."""
+    """One run's detection events: sorted int64 keys ``time_ps * 4 + channel``
+    (see :func:`pack_keys`).
+
+    The four ports are views computed on demand, ``keys[(keys & 3) == c] >> 2``.
+    """
 
     duration: float
-    start_plus: np.ndarray
-    start_minus: np.ndarray
-    stop_plus: np.ndarray
-    stop_minus: np.ndarray
+    keys: np.ndarray
+
+    start_plus = _port(CH_START_PLUS)
+    stop_plus = _port(CH_STOP_PLUS)
+    start_minus = _port(CH_START_MINUS)
+    stop_minus = _port(CH_STOP_MINUS)
+
+    @classmethod
+    def from_ports(cls, duration: float, start_plus, start_minus, stop_plus,
+                   stop_minus) -> "EventStream":
+        """The stream of four arrays of ps times, one per port, each in any order."""
+        return cls(duration, pack_keys([start_plus, stop_plus, start_minus, stop_minus]))
 
     def port(self, side: str, sign: int) -> np.ndarray:
         return getattr(self, f"{side}_{'plus' if sign > 0 else 'minus'}")
-
-    def starts(self) -> np.ndarray:
-        return np.sort(np.concatenate([self.start_plus, self.start_minus]))
-
-    def stops(self) -> np.ndarray:
-        return np.sort(np.concatenate([self.stop_plus, self.stop_minus]))
-
-    def keys(self) -> np.ndarray:
-        """Every event as a sorted packed key (see :func:`pack_keys`)."""
-        return pack_keys([getattr(self, name) for name in CHANNEL_PORTS])
 
     def to_records(self) -> np.ndarray:
         """Structured array of (channel, time_ps) records, ordered by time and,
@@ -68,24 +81,32 @@ class EventStream:
 
         ``time_ps`` holds the signed time in two's complement, so its 8 bytes
         are a little-endian signed integer and a negative time (possible from
-        jitter near t = 0) reads back unchanged. Files written when times were
-        clamped at 0 hold none at or above 2**63, so they read as before.
+        jitter near t = 0) reads back unchanged.
         """
-        keys = self.keys()
-        rec = np.empty(len(keys), dtype=RECORD_DTYPE)
-        np.bitwise_and(keys, 3, out=rec["channel"], casting="unsafe")
-        keys >>= 2  # in place: no second 8-byte-per-event copy at the peak
-        rec["time_ps"] = keys
+        rec = np.empty(len(self.keys), dtype=RECORD_DTYPE)
+        np.bitwise_and(self.keys, 3, out=rec["channel"], casting="unsafe")
+        np.right_shift(self.keys, 2, out=rec["time_ps"], casting="unsafe")
         return rec
 
     @classmethod
     def from_records(cls, records: np.ndarray, duration: float) -> "EventStream":
+        """The stream of (channel, time_ps) records.
+
+        Records in (time, channel) order need no sort. Files written before
+        that order hold ties in channel order (0, 2, 1, 3); they, and any
+        file whose times go backwards, are sorted once.
+        """
         chan = records["channel"]
         if chan.max(initial=0) > CH_STOP_MINUS:
             raise ValueError(f"unknown channel byte {chan.max()} in the records")
-        times = records["time_ps"].astype(np.int64)  # back from two's complement
-        ports = {name: np.sort(times[chan == code]) for code, name in enumerate(CHANNEL_PORTS)}
-        return cls(duration=duration, **ports)
+        keys = records["time_ps"].astype(np.int64)  # back from two's complement
+        _check_packable(keys, "in the records")
+        keys <<= 2
+        keys += chan
+        if any((np.diff(keys[i:i + _CHUNK + 1]) < 0).any()
+               for i in range(0, len(keys) - 1, _CHUNK)):
+            keys.sort(kind="stable")
+        return cls(duration, keys)
 
     def write(self, path) -> None:
         with open(path, "wb") as fh:
@@ -164,21 +185,26 @@ def window_edges_ps(tphc: TphcParams) -> Tuple[int, int]:
     return center_ps - half_ps, center_ps + half_ps
 
 
-def pack_keys(ports) -> np.ndarray:
-    """Sorted int64 keys ``time_ps * 4 + channel``, where ``ports[channel]``
-    holds the ps times of that channel byte.
+def _check_packable(times: np.ndarray, where: str) -> None:
+    """Raise ``ValueError`` unless every time has |t| < 2**61 ps."""
+    if len(times) and (times.min() <= -PACK_LIMIT_PS or times.max() >= PACK_LIMIT_PS):
+        raise ValueError(f"event time outside the packable +-2**61 ps, "
+                         f"{times.min()} to {times.max()} ps {where}")
+
+
+def pack_keys(blocks, channels=range(4)) -> np.ndarray:
+    """Sorted int64 keys ``time_ps * 4 + channel``, where ``blocks[i]`` holds
+    ps times of channel byte ``channels[i]``.
 
     Keys order events by time and, at equal times, by channel byte; ``key >> 2``
     is the time and ``key & 3`` the channel. A time with |t| >= 2**61 ps does
-    not fit and raises ``ValueError``. The sort is in place (numpy's default
-    kind), so packing needs no buffer beyond the keys.
+    not fit and raises ``ValueError``. The blocks are written into one array
+    and sorted in place, so packing needs no buffer beyond the keys.
     """
-    keys = np.empty(sum(len(times) for times in ports), np.int64)
+    keys = np.empty(sum(len(times) for times in blocks), np.int64)
     end = 0
-    for channel, times in enumerate(ports):
-        if len(times) and max(-times.min(), times.max()) >= PACK_LIMIT_PS:
-            raise ValueError(f"event time outside the packable +-2**61 ps, "
-                             f"{times.min()} to {times.max()} ps on channel {channel}")
+    for channel, times in zip(channels, blocks):
+        _check_packable(times, f"on channel {channel}")
         begin, end = end, end + len(times)
         np.multiply(times, 4, out=keys[begin:end])
         keys[begin:end] += channel
@@ -186,9 +212,9 @@ def pack_keys(ports) -> np.ndarray:
     return keys
 
 
-# Neighbour gaps are scanned this many keys at a time, so the scan's
+# Long key arrays are scanned this many keys at a time, so a scan's
 # temporaries stay small next to a whole run's key array.
-_GAP_CHUNK = 1 << 16
+_CHUNK = 1 << 16
 
 
 def pair_positions(keys: np.ndarray, lo_ps: int, hi_ps: int):
@@ -203,8 +229,8 @@ def pair_positions(keys: np.ndarray, lo_ps: int, hi_ps: int):
     successor is out of reach. Rounds = most events within one reach.
     """
     gap = 4 * max(-lo_ps, hi_ps) + 3
-    near = [np.flatnonzero(np.diff(keys[i:i + _GAP_CHUNK + 1]) <= gap) + i
-            for i in range(0, len(keys) - 1, _GAP_CHUNK)]
+    near = [np.flatnonzero(np.diff(keys[i:i + _CHUNK + 1]) <= gap) + i
+            for i in range(0, len(keys) - 1, _CHUNK)]
     p = np.concatenate(near) if near else np.empty(0, np.int64)
     starts, stops = [], []
     step = 1
@@ -243,13 +269,16 @@ def window_coincidences(stream: EventStream, tphc: TphcParams,
             f"side peaks at the {path_delay} s path delay",
             stacklevel=2,
         )
+    keys = stream.keys
+    channels = np.bitwise_and(keys, 3, dtype=np.uint8, casting="unsafe")
     coinc = dict.fromkeys(OUTCOMES, 0)
     if tphc.window_width > 0:
-        keys = stream.keys()
         counts = pairing_counts(keys, *pair_positions(keys, *window_edges_ps(tphc)))
         coinc = dict(zip(OUTCOMES, counts.tolist()))
-    return CountSummary.from_counts(stream.duration, len(stream.start_plus),
-                                    len(stream.stop_plus), coinc, tphc.window_width)
+    return CountSummary.from_counts(stream.duration,
+                                    int(np.count_nonzero(channels == CH_START_PLUS)),
+                                    int(np.count_nonzero(channels == CH_STOP_PLUS)),
+                                    coinc, tphc.window_width)
 
 
 def build_histogram(stream: EventStream, bin_width: float, range_: float) -> Histogram:
@@ -266,7 +295,7 @@ def build_histogram(stream: EventStream, bin_width: float, range_: float) -> His
         raise ValueError(f"bin_width must be at least 1 ps after rounding, got {bin_width}")
     range_ps = round(range_ / PS)
     nbins = max(1, -(-2 * range_ps // bin_ps))
-    keys = stream.keys()
+    keys = stream.keys
     starts, stops = pair_positions(keys, -range_ps, range_ps)
     index = ((keys[stops] >> 2) - (keys[starts] >> 2) + range_ps) // bin_ps
     counts = np.bincount(np.minimum(index, nbins - 1), minlength=nbins).astype(np.int64)

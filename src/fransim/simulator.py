@@ -2,8 +2,9 @@
 
 The run duration is cut into fixed 1 s slices, each driven by a random stream
 derived from (seed, slice index), so results are reproducible and independent
-of how slices might be distributed over workers. Timestamps are int64
-picoseconds built as slice start + quantized slice-local time.
+of how slices might be distributed over workers. Each slice is drawn in
+integer picoseconds from its start and packed straight into one sorted array
+of event keys.
 """
 from __future__ import annotations
 
@@ -11,7 +12,8 @@ import math
 
 import numpy as np
 
-from .config import DetectorParams, ExperimentConfig, validate_config
+from .config import (JITTER_SIGMAS, SLICE_SECONDS, DetectorParams, ExperimentConfig,
+                     fwhm_to_sigma, validate_config)
 from .events import (
     CHANNEL_PORTS,
     OUTCOMES,
@@ -34,27 +36,23 @@ __all__ = [
     "simulate_setting",
 ]
 
-SLICE_SECONDS = 1.0  # fixed batching granularity for the derived RNG streams
 SLICE_PS = round(SLICE_SECONDS / PS)
-# Jitter bound of the streaming margin, in standard deviations: a Gaussian
-# offset lies past it with probability below 1e-32 per event.
-JITTER_SIGMAS = 12
-
-
-def fwhm_to_sigma(fwhm: float) -> float:
-    return fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 
 
 def apply_jitter(true_time, det: DetectorParams, rng: np.random.Generator):
     """Add the detector's Gaussian timing response (zero mean, FWHM-specified).
 
-    Accepts a scalar or an array of times.
+    Accepts a scalar or an array of times in seconds, or an int64 array of
+    times in ps, where each offset is rounded to whole ps: ``rint(normal·σ/PS)``.
     """
     if det.jitter_fwhm < 0:
         raise ValueError(f"jitter_fwhm must be >= 0, got {det.jitter_fwhm}")
     if det.jitter_fwhm == 0:
         return true_time
     sigma = fwhm_to_sigma(det.jitter_fwhm)
+    if np.issubdtype(np.asarray(true_time).dtype, np.integer):
+        offset = rng.normal(0.0, sigma / PS, size=len(true_time))
+        return true_time + np.rint(offset, out=offset).astype(np.int64)
     offset = rng.normal(0.0, sigma, size=np.shape(true_time) or None)
     return true_time + offset
 
@@ -78,68 +76,64 @@ def _sample_branches_outcomes(d1, d2, vis, n: int, rng: np.random.Generator):
     return branch, i, j
 
 
-def generate_dark_counts(rate: float, duration: float,
-                         rng: np.random.Generator) -> np.ndarray:
-    """Homogeneous Poisson process: timestamps (seconds) on [0, duration), in
-    draw order; :func:`emit_event_stream` sorts each port once."""
+def generate_dark_counts(rate: float, duration: float, rng: np.random.Generator,
+                         t0_ps: int = 0) -> np.ndarray:
+    """Homogeneous Poisson process: int64 ps times, uniform on the 1 ps grid of
+    [t0_ps, t0_ps + duration), in draw order."""
     if rate < 0:
         raise ValueError(f"dark rate must be >= 0, got {rate}")
     n = rng.poisson(rate * duration)
-    return rng.random(n) * duration
+    return rng.integers(t0_ps, t0_ps + max(1, round(duration / PS)), n)
 
 
-def _quantize(local_s: np.ndarray, t0_ps: int) -> np.ndarray:
-    """Slice-local seconds to absolute int64 ps: ``t0_ps + rint(local_s / PS)``.
-
-    Only the slice-local part passes through float64, so the 1 ps quantum
-    holds at any run time (absolute float64 seconds lose it after about 2 h).
-    """
-    return t0_ps + np.rint(local_s / PS).astype(np.int64)
-
-
-def _generate_slice(config: ExperimentConfig, d1: float, d2: float,
-                    t0_ps: int, dur: float, rng: np.random.Generator):
-    """One time slice of raw (unsorted) per-port timestamps, in ps.
+def _slice_keys(config: ExperimentConfig, d1: float, d2: float,
+                t0_ps: int, dur: float, rng: np.random.Generator) -> np.ndarray:
+    """One time slice's events as sorted packed keys (see
+    :func:`fransim.events.pack_keys`).
 
     Loss thins the split pairs independently on each side, so (colouring
     theorem) pairs detected on both sides and each side's one-sided events are
     independent Poisson streams. Only the first needs the joint law; one-sided
     events take its marginals: a uniform port and the long arm with prob. 1/2.
-    Times are drawn in seconds from the slice start ``t0_ps``.
+    Times are drawn uniformly on the 1 ps grid of the slice, from ``t0_ps``;
+    the path delay and the centre offset are rounded to whole ps, and so is
+    the jitter.
     """
     src = config.source
-    delay = config.analyzer1.path_delay
+    end_ps = t0_ps + max(1, round(dur / PS))  # a sub-ps last slice keeps one grid point
+    delay = round(config.analyzer1.path_delay / PS)
     split = src.pair_rate * src.split_efficiency * dur
     eta1 = src.arm1_transmission * config.detector_start.efficiency
     eta2 = src.arm2_transmission * config.detector_stop.efficiency
 
     n_both = rng.poisson(split * eta1 * eta2)
-    emission = rng.random(n_both) * dur
+    emission = rng.integers(t0_ps, end_ps, n_both)
     eff_d1 = d1 + rng.normal(0.0, config.analyzer1.phase_noise_sigma, n_both)
     eff_d2 = d2 + rng.normal(0.0, config.analyzer2.phase_noise_sigma, n_both)
     branch, i, j = _sample_branches_outcomes(eff_d1, eff_d2, config.visibility, n_both, rng)
     # Arm traversal offsets: the central branch collapses to a common arm
     # (dt = 0 either way); the mixed branches sit at +-path_delay.
-    common = np.where(rng.random(n_both) < 0.5, delay, 0.0)
-    start_off = np.where(branch == 0, common, np.where(branch == 2, delay, 0.0))
-    stop_off = np.where(branch == 0, common, np.where(branch == 1, delay, 0.0))
+    common = np.where(rng.random(n_both) < 0.5, delay, 0)
+    start_off = np.where(branch == 0, common, np.where(branch == 2, delay, 0))
+    stop_off = np.where(branch == 0, common, np.where(branch == 1, delay, 0))
 
-    out = {}
+    blocks, channels = [], []
     for side, det, both_time, both_sign, mean_one, shift in (
-            ("start", config.detector_start, emission + start_off, i,
-             split * eta1 * (1.0 - eta2), 0.0),
-            ("stop", config.detector_stop, emission + stop_off, j,
-             split * (1.0 - eta1) * eta2, config.tphc.center_offset)):
-        for port, s in (("plus", 1), ("minus", -1)):
-            one_time = rng.random(rng.poisson(mean_one / 2)) * dur
+            (0, config.detector_start, emission + start_off, i,
+             split * eta1 * (1.0 - eta2), 0),
+            (1, config.detector_stop, emission + stop_off, j,
+             split * (1.0 - eta1) * eta2, round(config.tphc.center_offset / PS))):
+        for port, s in ((0, 1), (2, -1)):
+            one_time = rng.integers(t0_ps, end_ps, rng.poisson(mean_one / 2))
             # The times are i.i.d., so taking the first Binomial(n, 1/2) of
             # them as the long-arm ones is the same law as a coin per event.
             one_time[:rng.binomial(len(one_time), 0.5)] += delay
-            times = apply_jitter(np.concatenate([both_time[both_sign == s], one_time]) + shift,
-                                 det, rng)
-            darks = generate_dark_counts(det.dark_rate, dur, rng)
-            out[f"{side}_{port}"] = [_quantize(times, t0_ps), _quantize(darks, t0_ps)]
-    return out
+            times = np.concatenate([both_time[both_sign == s], one_time])
+            times += shift
+            blocks += [apply_jitter(times, det, rng),
+                       generate_dark_counts(det.dark_rate, dur, rng, t0_ps)]
+            channels += [side | port] * 2
+    return pack_keys(blocks, channels)
 
 
 def _check_span_end(first_slice: int, duration: float) -> None:
@@ -153,15 +147,15 @@ def _check_span_end(first_slice: int, duration: float) -> None:
 
 def emit_event_stream(config: ExperimentConfig, d1: float, d2: float,
                       duration: float, seed: int, *, start: float = 0.0) -> EventStream:
-    """Detection record of ``[start, start + duration)``: per-port sorted ps
-    timestamps, made by slices ``start / SLICE_SECONDS, ...`` of the run.
+    """Detection record of ``[start, start + duration)``, made by slices
+    ``start / SLICE_SECONDS, ...`` of the run.
 
     ``start`` must be a non-negative whole number of slices, and the span must
     end within 2**61 ps. Each slice draws from its own (seed, slice index)
-    stream, so concatenating the records of consecutive spans port by port,
-    then sorting, gives the record of the whole span. Feeding a whole-run
-    record (``start = 0``) into :func:`fransim.events.window_coincidences`
-    reproduces :func:`simulate_setting` exactly for the same seed.
+    stream, so merging the keys of consecutive spans gives the record of the
+    whole span. Feeding a whole-run record (``start = 0``) into
+    :func:`fransim.events.window_coincidences` reproduces
+    :func:`simulate_setting` exactly for the same seed.
     """
     if duration <= 0:
         raise ValueError(f"duration must be > 0, got {duration}")
@@ -172,47 +166,41 @@ def emit_event_stream(config: ExperimentConfig, d1: float, d2: float,
     _check_span_end(int(first), duration)
     validate_config(config)
 
-    parts = {name: [] for name in CHANNEL_PORTS}
+    slices = []
     n_slices = max(1, int(math.ceil(duration / SLICE_SECONDS)))
     for n in range(n_slices):
         k = int(first) + n
         dur = min(SLICE_SECONDS, duration - n * SLICE_SECONDS)
-        rng = np.random.default_rng([seed, k])
-        for name, chunks in _generate_slice(config, d1, d2, k * SLICE_PS, dur, rng).items():
-            parts[name].extend(chunks)
-
-    ports = {name: np.concatenate(chunks) for name, chunks in parts.items()}
-    for times in ports.values():
-        times.sort()  # in place: np.sort would copy each port once more
-    return EventStream(duration=duration, **ports)
+        slices.append(_slice_keys(config, d1, d2, k * SLICE_PS, dur,
+                                  np.random.default_rng([seed, k])))
+    keys = slices[0]
+    if n_slices > 1:
+        keys = np.concatenate(slices)
+        del slices
+        keys.sort(kind="stable")  # a merge of the sorted slice runs
+    return EventStream(duration, keys)
 
 
 def simulate_setting(config: ExperimentConfig, d1: float, d2: float,
                      duration: float, seed: int) -> CountSummary:
     """Simulate one phase setting and window-discriminate the coincidences.
 
-    Each 1 s slice is made by :func:`emit_event_stream` (``start`` = slice
-    start) and counted at once, so memory is bounded by one slice, not the
-    run. A pair is counted when its later event's slice is made: the pairs
-    within the slice by :func:`fransim.events.window_coincidences`, the pairs
-    reaching back into earlier slices by the same pair walk on the carried
-    keys merged with the slice's head, its events within the window's reach
-    of the last carried one. With ``margin`` = window reach (half-width +
-    |center_offset|) plus ``JITTER_SIGMAS`` of the larger detector jitter, the
-    carry keeps the events at or past ``t0 - margin + min(lo, 0)`` of the next
-    slice (``lo`` = the window's low edge).
+    Each 1 s slice is made by :func:`emit_event_stream` and counted at once,
+    so memory is bounded by one slice, not the run. A pair is counted when its
+    later event's slice is made: pairs within the slice by
+    :func:`fransim.events.window_coincidences`, pairs reaching back by the
+    same walk on the carried keys and the slice's head (its events within the
+    window's reach of the last carried one). The carry keeps the events at or
+    past ``t0 - margin + min(lo, 0)`` of the next slice, where ``margin`` is
+    the window reach (half-width + |center_offset|) plus ``JITTER_SIGMAS`` of
+    the larger detector jitter and [lo, hi] is the window on dt.
 
-    That is exact because of the margin invariant, checked on every slice:
-    a slice emits no start before its ``t0 - margin`` and no stop before
-    ``t0 - margin + max(hi, 0)`` (``hi`` = the window's high edge), so no
-    earlier event below the carry can pair with it. A violation raises
-    ``RuntimeError``. The counts equal :func:`fransim.events.window_coincidences`
-    on the whole-run :func:`emit_event_stream` record for the same seed.
-
-    Singles are totals over the slices, and the accidental estimate is
-    computed once from those merged totals, (S_start/T)(S_stop/T)·w·T, the
-    estimator the whole-stream path uses; summing per-slice estimates would be
-    a different one.
+    That is exact because each slice is checked to emit no start before its
+    ``t0 - margin`` and no stop before ``t0 - margin + max(hi, 0)``; a
+    violation raises ``RuntimeError``. Counts and singles equal
+    ``window_coincidences`` on the whole-run :func:`emit_event_stream`
+    record, and the accidental estimate comes once from the singles totals,
+    the estimator the whole-stream path uses.
     """
     if duration <= 0:
         raise ValueError(f"duration must be > 0, got {duration}")
@@ -232,37 +220,35 @@ def simulate_setting(config: ExperimentConfig, d1: float, d2: float,
         t0 = k * SLICE_SECONDS
         dur = min(SLICE_SECONDS, duration - t0)
         part = emit_event_stream(config, d1, d2, dur, seed, start=t0)
-        ports = [getattr(part, name) for name in CHANNEL_PORTS]
-        for name, times in zip(CHANNEL_PORTS, ports):
-            floor = k * SLICE_PS - margin + (max(hi, 0) if name.startswith("stop") else 0)
-            if len(times) and times[0] < floor:
-                raise RuntimeError(
-                    f"slice {k} emitted a {name} event at {times[0]} ps, before its "
-                    f"{floor} ps floor: the {margin} ps stream margin is too small")
-        singles_start += len(part.start_plus)
-        singles_stop += len(part.stop_plus)
+        keys = part.keys
+        floor = k * SLICE_PS - margin
+        early = keys[:np.searchsorted(keys, 4 * (floor + max(hi, 0)))]
+        late = early[(early >> 2) < floor + (early & 1) * max(hi, 0)]  # stops: max(hi, 0) later
+        if len(late):
+            raise RuntimeError(
+                f"slice {k} emitted a {CHANNEL_PORTS[late[0] & 3]} event at {late[0] >> 2} ps, "
+                f"before its {floor + (late[0] & 1) * max(hi, 0)} ps floor: the {margin} ps "
+                f"stream margin is too small")
         counted = window_coincidences(part, config.tphc)
         coinc += [counted.coincidences[outcome] for outcome in OUTCOMES]
+        singles_start += counted.singles_start
+        singles_stop += counted.singles_stop
         if len(carry):
             reachable = (carry[-1] >> 2) + reach
-            head = pack_keys([times[:np.searchsorted(times, reachable, side="right")]
-                              for times in ports])
+            head = keys[:np.searchsorted(keys, 4 * (reachable + 1))]
             coinc += _carried_pairs(carry, head, lo, hi)
-        bound = (k + 1) * SLICE_PS - margin + min(lo, 0)
-        tail = pack_keys([times[np.searchsorted(times, bound):] for times in ports])
-        carry = np.sort(np.concatenate([carry[np.searchsorted(carry, bound * 4):], tail]))
-        del part, ports  # free this slice before the next one is made
+        bound = 4 * ((k + 1) * SLICE_PS - margin + min(lo, 0))
+        carry = np.sort(np.concatenate([carry[np.searchsorted(carry, bound):],
+                                        keys[np.searchsorted(keys, bound):]]))
+        del part, keys  # free this slice before the next one is made
     return CountSummary.from_counts(duration, singles_start, singles_stop,
                                     dict(zip(OUTCOMES, coinc.tolist())),
                                     config.tphc.window_width)
 
 
 def _carried_pairs(carried: np.ndarray, head: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Pairs per pairing with one event in each of two sorted key arrays."""
-    merged = np.concatenate([carried, head])
-    order = np.argsort(merged, kind="stable")
-    from_head = order >= len(carried)
-    keys = merged[order]
-    starts, stops = pair_positions(keys, lo, hi)
-    across = from_head[starts] != from_head[stops]
-    return pairing_counts(keys, starts[across], stops[across])
+    """Pairs per pairing with one event in each of two sorted key arrays: the
+    pairs of both together less the pairs within each."""
+    def counts(keys):
+        return pairing_counts(keys, *pair_positions(keys, lo, hi))
+    return counts(np.sort(np.concatenate([carried, head]))) - counts(carried) - counts(head)

@@ -1,5 +1,7 @@
 from dataclasses import replace
 
+import numpy as np
+
 from fransim.config import (
     DetectorParams,
     ExperimentConfig,
@@ -25,3 +27,8 @@ def clean_config(pair_rate=1e5, visibility=0.957, window=350e-12,
         visibility=visibility,
         seed=seed,
     )
+
+
+def side_times(stream, side):
+    """Sorted ps times of both ports of one side, "start" or "stop"."""
+    return np.sort(np.concatenate([stream.port(side, 1), stream.port(side, -1)]))

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import clean_config
+from conftest import clean_config, side_times
 from fransim import analysis
 from fransim.analysis import (
     FringePoint,
@@ -68,7 +68,7 @@ class TestSignificance:
 class TestHistogram:
     def test_empty_stream(self):
         empty = np.empty(0, dtype=np.int64)
-        stream = EventStream(1.0, empty, empty, empty, empty)
+        stream = EventStream.from_ports(1.0, empty, empty, empty, empty)
         hist = build_histogram(stream, 50e-12, 1.5e-9)
         assert hist.total == 0
 
@@ -100,18 +100,18 @@ class TestHistogram:
     def test_invalid_bin_width(self):
         empty = np.empty(0, dtype=np.int64)
         with pytest.raises(ValueError):
-            build_histogram(EventStream(1.0, empty, empty, empty, empty), 0.0, 1e-9)
+            build_histogram(EventStream.from_ports(1.0, empty, empty, empty, empty), 0.0, 1e-9)
 
     def test_bin_width_rounding_to_zero_ps_rejected(self):
         empty = np.empty(0, dtype=np.int64)
         with pytest.raises(ValueError, match="1 ps"):
-            build_histogram(EventStream(1.0, empty, empty, empty, empty), 0.4e-12, 1e-9)
+            build_histogram(EventStream.from_ports(1.0, empty, empty, empty, empty), 0.4e-12, 1e-9)
 
     def test_integer_ps_bin_count_and_closed_edges(self):
         # 2 * 2 ns / 20 ps is 200.00000000000003 in floating point, but 200 bins.
         empty = np.empty(0, dtype=np.int64)
-        stream = EventStream(1.0, np.array([0, 10_000], np.int64), empty,
-                             np.array([-2000, 2000, 11_999], np.int64), empty)
+        stream = EventStream.from_ports(1.0, np.array([0, 10_000], np.int64), empty,
+                                        np.array([-2000, 2000, 11_999], np.int64), empty)
         hist = build_histogram(stream, 20e-12, 2e-9)
         assert len(hist.counts) == 200
         # dt = -2000 opens the first bin; dt = +2000 and +1999 fall in the last.
@@ -121,7 +121,7 @@ class TestHistogram:
         cfg = clean_config(pair_rate=1e5, jitter_stop=200e-12, dark_stop=2e4, seed=24)
         stream = emit_event_stream(cfg, 0.0, 0.0, 1.0, cfg.seed)
         hist = build_histogram(stream, 50e-12, 2e-9)
-        starts, stops = stream.starts(), stream.stops()
+        starts, stops = side_times(stream, "start"), side_times(stream, "stop")
         pairs = (np.searchsorted(stops, starts + 2000, side="right")
                  - np.searchsorted(stops, starts - 2000, side="left")).sum()
         assert len(hist.counts) == 80

@@ -152,6 +152,16 @@ class TestCli:
         assert rc == 2
         assert f"{key}: must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [("detector_stop.jitter_fwhm", "1e300"),
+                                           ("detector_start.jitter_fwhm", "0.2 s")])
+    def test_jitter_wider_than_a_slice_is_rejected(self, key, value, tmp_path, capsys):
+        # 12 sigma of a 0.2 s FWHM is 1.02 s, past one 1 s slice.
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(SMALL_CFG + f"{key} = {value}\n")
+        rc = main(["simulate", "--config", str(bad), "--out", str(tmp_path / "y.csv")])
+        assert rc == 2
+        assert f"{key}: its 12-sigma reach must fit in one" in capsys.readouterr().err
+
     def test_lhv_command_respects_bound(self, tmp_path):
         out = tmp_path / "lhv.txt"
         rc = main(["lhv", "--quiet", "--pairs", "100000", "--seed", "5",

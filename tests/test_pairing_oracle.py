@@ -9,6 +9,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import side_times
 from fransim.config import TphcParams
 from fransim.events import (
     CHANNEL_PORTS,
@@ -21,7 +22,7 @@ from fransim.events import (
 
 port_times = st.lists(st.integers(-40, 40), max_size=12).map(
     lambda times: np.sort(np.array(times, dtype=np.int64)))
-streams = st.builds(lambda sp, sm, tp, tm: EventStream(1.0, sp, sm, tp, tm),
+streams = st.builds(lambda sp, sm, tp, tm: EventStream.from_ports(1.0, sp, sm, tp, tm),
                     port_times, port_times, port_times, port_times)
 
 
@@ -37,7 +38,7 @@ def brute_delays(starts, stops, lo_ps, hi_ps):
 # numpy-heavy examples can exceed Hypothesis' 200 ms default deadline on a loaded machine.
 @settings(deadline=None)
 @given(stream=streams, half=st.integers(1, 12), center=st.integers(-15, 15))
-@example(stream=EventStream(1.0, _ps(-3, 0, 0), _ps(), _ps(-8, -3, 2, 2, 3), _ps(7)),
+@example(stream=EventStream.from_ports(1.0, _ps(-3, 0, 0), _ps(), _ps(-8, -3, 2, 2, 3), _ps(7)),
          half=5, center=-3)  # duplicates, an empty port, ties at center +- half
 def test_window_counts_match_double_loop(stream, half, center):
     tphc = TphcParams(window_width=2 * half * PS, center_offset=center * PS)
@@ -50,11 +51,12 @@ def test_window_counts_match_double_loop(stream, half, center):
 
 @settings(deadline=None)
 @given(stream=streams, range_ps=st.integers(1, 30), bin_ps=st.integers(1, 8))
-@example(stream=EventStream(1.0, _ps(0, 0), _ps(-10), _ps(-20, 10, 10), _ps()),
+@example(stream=EventStream.from_ports(1.0, _ps(0, 0), _ps(-10), _ps(-20, 10, 10), _ps()),
          range_ps=10, bin_ps=5)  # duplicates, an empty port, ties at +-range
 def test_histogram_matches_double_loop(stream, range_ps, bin_ps):
     hist = build_histogram(stream, bin_ps * PS, range_ps * PS)
-    delays = brute_delays(stream.starts(), stream.stops(), -range_ps, range_ps)
+    delays = brute_delays(side_times(stream, "start"), side_times(stream, "stop"),
+                          -range_ps, range_ps)
     # Integer-ps bins [edge, next edge); the last one is closed on the right.
     nbins = -(-2 * range_ps // bin_ps)
     edges = [-range_ps + bin_ps * b for b in range(nbins + 1)]
@@ -66,7 +68,8 @@ def test_histogram_matches_double_loop(stream, range_ps, bin_ps):
 
 @settings(deadline=None)
 @given(stream=streams)
-@example(stream=EventStream(1.0, _ps(-5, 0, 0), _ps(0), _ps(-5, 0), _ps(-5, 0, 9)))  # ties
+@example(stream=EventStream.from_ports(1.0, _ps(-5, 0, 0), _ps(0), _ps(-5, 0),
+                                       _ps(-5, 0, 9)))  # ties
 def test_records_round_trip(stream, tmp_path_factory):
     records = stream.to_records()
     time = records["time_ps"].astype(np.int64)

@@ -1,4 +1,5 @@
 import math
+import struct
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -35,6 +36,10 @@ from fransim.simulator import (
 
 CENTRAL = 0  # branch code of _sample_branches_outcomes; 1 and 2 are the side peaks
 PORTS = ("start_plus", "start_minus", "stop_plus", "stop_minus")
+
+
+def _ps(*times):
+    return np.array(times, dtype=np.int64)
 
 
 class TestSamplePairBranch:
@@ -103,7 +108,7 @@ class TestDarkCounts:
 
     def test_interarrival_times_are_exponential(self):
         times = generate_dark_counts(5e4, 10.0, np.random.default_rng(6))
-        gaps = np.diff(np.sort(times))
+        gaps = np.diff(np.sort(times)) * PS
         _, p = stats.kstest(gaps, "expon", args=(0, 1 / 5e4))
         assert p > 0.01
 
@@ -188,6 +193,46 @@ class TestLossyThinning:
             assert abs(side - expected) < 5 * math.sqrt(expected), offset
 
 
+class TestIntegerPicosecondLaw:
+    """Times are drawn on the 1 ps grid and the jitter is rounded to whole ps."""
+
+    def test_dark_times_are_uniform_on_the_slice_grid(self):
+        # An 8 ps span at slice 3: every port's darks lie on the 8 grid points
+        # [t0, t0 + 8), each with probability 1/8. Rounding uniform float times
+        # would instead give 9 points, the two end ones at half weight.
+        dur_ps, per_port = 8, 100_000
+        rate = per_port / (dur_ps * PS)
+        cfg = clean_config(pair_rate=0.0, dark_start=rate, dark_stop=rate)
+        stream = emit_event_stream(cfg, 0.0, 0.0, dur_ps * PS, 31, start=3.0)
+        t0 = 3 * SLICE_PS
+        for port in PORTS:
+            local = getattr(stream, port) - t0
+            assert local.min() >= 0 and local.max() < dur_ps, port
+            n = len(local)
+            se = math.sqrt(n * (1 / dur_ps) * (1 - 1 / dur_ps))
+            counts = np.bincount(local, minlength=dur_ps)
+            assert np.all(np.abs(counts - n / dur_ps) < 5 * se), (port, counts)
+
+    def test_central_window_fraction_matches_the_rounded_jitter_law(self):
+        # Lossless and dark-free: every start has its stop, and half the pairs
+        # sit in the central peak, at the centre offset, with the jitter of
+        # both detectors. sigma = 5 ps each makes the rounding matter:
+        # truncating the offsets instead moves the fraction by about 20 SE.
+        sigma_ps, half_ps, offset_ps = 5.0, 7, 130
+        fwhm = sigma_ps * PS * 2 * math.sqrt(2 * math.log(2))
+        cfg = clean_config(pair_rate=1e5, jitter_stop=fwhm, seed=32)
+        cfg = replace(cfg, detector_start=replace(cfg.detector_start, jitter_fwhm=fwhm),
+                      tphc=TphcParams(window_width=2 * half_ps * PS,
+                                      center_offset=offset_ps * PS))
+        stream = emit_event_stream(cfg, 0.4, 0.1, 2.0, cfg.seed)
+        n_pairs = len(stream.start_plus) + len(stream.start_minus)
+        inside = sum(window_coincidences(stream, cfg.tphc).coincidences.values())
+        sigma = math.hypot(fwhm_to_sigma(fwhm), fwhm_to_sigma(fwhm))
+        p = 0.5 * math.erf((half_ps + 0.5) * PS / (sigma * math.sqrt(2)))
+        se = math.sqrt(p * (1 - p) / n_pairs)
+        assert abs(inside / n_pairs - p) < 5 * se
+
+
 class TestEventStream:
     def test_empty_duration_rejected(self):
         with pytest.raises(ValueError):
@@ -246,7 +291,7 @@ class TestEventStream:
         first = PACK_LIMIT_PS // SLICE_PS
         at_edge = (PACK_LIMIT_PS - first * SLICE_PS) * PS
         stream = emit_event_stream(cfg, 0.0, 0.0, at_edge, 1, start=float(first))
-        assert stream.keys()[-1] >> 2 < PACK_LIMIT_PS
+        assert stream.keys[-1] >> 2 < PACK_LIMIT_PS
         with pytest.raises(ValueError, match="26.7 days"):
             emit_event_stream(cfg, 0.0, 0.0, at_edge + PS, 1, start=float(first))
 
@@ -259,7 +304,7 @@ class TestEventStream:
 
     def test_truncated_file_is_rejected(self, tmp_path):
         times = np.arange(3, dtype=np.int64) * 1000
-        stream = EventStream(1.0, times, times + 1, times + 2, times + 3)  # 12 records
+        stream = EventStream.from_ports(1.0, times, times + 1, times + 2, times + 3)  # 12 records
         path = tmp_path / "events.frsn"
         stream.write(path)
         assert path.stat().st_size == 5 + 9 * 12
@@ -275,13 +320,44 @@ class TestEventStream:
 
     def test_negative_time_round_trips(self, tmp_path):
         # Jitter near t = 0 can put a detection before the run starts.
-        stream = EventStream(1.0, np.array([0, 40], dtype=np.int64), np.array([], dtype=np.int64),
-                             np.array([-3, 12], dtype=np.int64), np.array([5], dtype=np.int64))
+        stream = EventStream.from_ports(1.0, np.array([0, 40], dtype=np.int64),
+                                        np.array([], dtype=np.int64),
+                                        np.array([-3, 12], dtype=np.int64),
+                                        np.array([5], dtype=np.int64))
         path = tmp_path / "events.frsn"
         stream.write(path)
         back = EventStream.read(path, duration=1.0)
         for port in ("start_plus", "start_minus", "stop_plus", "stop_minus"):
             np.testing.assert_array_equal(getattr(stream, port), getattr(back, port))
+
+    @staticmethod
+    def _write_v1(path, records):
+        path.write_bytes(b"FRSN\x01" + b"".join(struct.pack("<Bq", ch, t) for ch, t in records))
+
+    def test_old_tie_order_reads_back_sorted(self, tmp_path):
+        # Files written before the (time, channel) order hold ties as (0, 2, 1, 3).
+        path = tmp_path / "old.frsn"
+        self._write_v1(path, [(0, -2), (2, 5), (0, 5), (1, 5), (3, 5), (2, 9), (1, 9)])
+        back = EventStream.read(path, duration=1.0)
+        expected = EventStream.from_ports(1.0, _ps(-2, 5), _ps(5, 9), _ps(5, 9), _ps(5))
+        np.testing.assert_array_equal(back.keys, expected.keys)
+        for port in PORTS:
+            np.testing.assert_array_equal(getattr(back, port), getattr(expected, port))
+
+    def test_time_going_backwards_reads_back_sorted(self, tmp_path):
+        path = tmp_path / "backwards.frsn"
+        self._write_v1(path, [(0, 10), (1, 3), (3, 7), (2, -4), (1, 12)])
+        back = EventStream.read(path, duration=1.0)
+        assert np.all(np.diff(back.keys) > 0)
+        expected = EventStream.from_ports(1.0, _ps(10), _ps(-4), _ps(3, 12), _ps(7))
+        for port in PORTS:
+            np.testing.assert_array_equal(getattr(back, port), getattr(expected, port))
+
+    def test_time_past_the_packing_limit_is_rejected(self, tmp_path):
+        path = tmp_path / "far.frsn"
+        self._write_v1(path, [(0, 5), (1, PACK_LIMIT_PS)])
+        with pytest.raises(ValueError, match="packable"):
+            EventStream.read(path, duration=1.0)
 
     def test_binary_round_trip(self, tmp_path):
         cfg = clean_config(pair_rate=2e4, dark_stop=1e3, seed=14)
@@ -343,11 +419,11 @@ class TestStreamingSlices:
             slices.append(ports)
 
         def fake_emit(config, d1, d2, duration, seed, *, start=0.0):
-            return EventStream(duration, **slices[int(start)])
+            return EventStream.from_ports(duration, **slices[int(start)])
 
         with mock.patch.object(simulator, "emit_event_stream", fake_emit):
             got = simulate_setting(cfg, 0.0, 0.0, float(n_slices), 1)
-        whole = EventStream(float(n_slices), **{
+        whole = EventStream.from_ports(float(n_slices), **{
             name: np.sort(np.concatenate([ports[name] for ports in slices])) for name in PORTS})
         assert got == window_coincidences(whole, tphc)
 
