@@ -129,7 +129,8 @@ def fit_fringe(points: Sequence[FringePoint],
     model-based weights (sqrt of the fitted expected raw count), which removes
     the low-count bias of weighting by observed fluctuations. The period is
     seeded from period_hint when given, otherwise from a coarse grid over the
-    scan span; the phase is seeded by a 16-offset grid search. Degenerate
+    scan span, and the level, visibility and phase by the weighted linear
+    least-squares fit at that period. Degenerate
     (all-equal) data yields a flat fit with V = 0.
     """
     if len(points) < 5:
@@ -143,36 +144,28 @@ def fit_fringe(points: Sequence[FringePoint],
                          visibility_sigma=0.0, phase0=0.0,
                          period=period_hint or float(np.ptp(x) or 1.0), goodness=0.0)
 
-    mean0 = float(y.mean())
-    amp = (y.max() - y.min()) / 2.0
-    vis0 = min(max(amp / mean0 if mean0 > 0 else 0.5, 0.05), 0.99)
-    span = float(np.ptp(x))
     if period_hint is not None:
         periods = [period_hint]
     else:
-        periods = list(span / np.arange(0.5, 8.5, 0.25))
-    phases = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
+        periods = list(float(np.ptp(x)) / np.arange(0.5, 8.5, 0.25))
 
-    # Coarse grid search keeps the free-period sinusoid fit out of bad basins.
-    best, best_cost = None, np.inf
+    # Seed: at a fixed period the model A + A·V·cos(phi)·cos kx - A·V·sin(phi)·sin kx
+    # is linear, so weighted linear least squares solves it at each candidate
+    # period; the period with the smallest cost keeps the fit out of bad basins.
+    seeds = []
     for period in periods:
-        for phase0 in phases:
-            resid = (y - _sine(x, mean0, vis0, phase0, period)) / sigma
-            cost = float(resid @ resid)
-            if cost < best_cost:
-                best, best_cost = (mean0, vis0, phase0, period), cost
-
-    last_error = None
-    for attempt, p0 in enumerate([best] + [(best[0], best[1], ph, best[3])
-                                           for ph in phases[::4]]):
-        try:
-            popt, pcov = curve_fit(_sine, x, y, p0=p0, sigma=sigma,
-                                   absolute_sigma=True, maxfev=20000)
-            break
-        except RuntimeError as exc:
-            last_error = exc
-    else:
-        raise FitError(f"sinusoid fit failed after {attempt + 1} starts: {last_error}")
+        k = 2.0 * np.pi / period
+        basis = np.column_stack([np.ones_like(x), np.cos(k * x), np.sin(k * x)]) / sigma[:, None]
+        coef = np.linalg.lstsq(basis, y / sigma, rcond=None)[0]
+        resid = basis @ coef - y / sigma
+        seeds.append((float(resid @ resid), period, *coef))
+    _, period, a, b, c = min(seeds, key=lambda seed: seed[0])
+    p0 = (a, math.hypot(b, c) / a, math.atan2(-c, b), period)
+    try:
+        popt, pcov = curve_fit(_sine, x, y, p0=p0, sigma=sigma,
+                               absolute_sigma=True, maxfev=20000)
+    except RuntimeError as exc:
+        raise FitError(f"sinusoid fit failed: {exc}") from exc
 
     # One reweighting pass: expected raw count = fitted net + accidentals.
     accidentals = np.array([p.accidentals for p in points], dtype=float)

@@ -92,9 +92,9 @@ class EventStream:
     def from_records(cls, records: np.ndarray, duration: float) -> "EventStream":
         """The stream of (channel, time_ps) records.
 
-        Records in (time, channel) order need no sort. Files written before
-        that order hold ties in channel order (0, 2, 1, 3); they, and any
-        file whose times go backwards, are sorted once.
+        The keys are sorted once. Timsort finds records already in (time,
+        channel) order in one pass; files written before that order hold ties
+        in channel order (0, 2, 1, 3).
         """
         chan = records["channel"]
         if chan.max(initial=0) > CH_STOP_MINUS:
@@ -103,9 +103,7 @@ class EventStream:
         _check_packable(keys, "in the records")
         keys <<= 2
         keys += chan
-        if any((np.diff(keys[i:i + _CHUNK + 1]) < 0).any()
-               for i in range(0, len(keys) - 1, _CHUNK)):
-            keys.sort(kind="stable")
+        keys.sort(kind="stable")
         return cls(duration, keys)
 
     def write(self, path) -> None:

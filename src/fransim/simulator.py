@@ -39,41 +39,16 @@ __all__ = [
 SLICE_PS = round(SLICE_SECONDS / PS)
 
 
-def apply_jitter(true_time, det: DetectorParams, rng: np.random.Generator):
-    """Add the detector's Gaussian timing response (zero mean, FWHM-specified).
-
-    Accepts a scalar or an array of times in seconds, or an int64 array of
-    times in ps, where each offset is rounded to whole ps: ``rint(normal·σ/PS)``.
-    """
+def apply_jitter(times_ps: np.ndarray, det: DetectorParams, rng: np.random.Generator):
+    """Add the detector's Gaussian timing response (zero mean, FWHM-specified)
+    to an int64 array of ps times, each offset rounded to whole ps:
+    ``rint(normal·σ/PS)``."""
     if det.jitter_fwhm < 0:
         raise ValueError(f"jitter_fwhm must be >= 0, got {det.jitter_fwhm}")
     if det.jitter_fwhm == 0:
-        return true_time
-    sigma = fwhm_to_sigma(det.jitter_fwhm)
-    if np.issubdtype(np.asarray(true_time).dtype, np.integer):
-        offset = rng.normal(0.0, sigma / PS, size=len(true_time))
-        return true_time + np.rint(offset, out=offset).astype(np.int64)
-    offset = rng.normal(0.0, sigma, size=np.shape(true_time) or None)
-    return true_time + offset
-
-
-def _sample_branches_outcomes(d1, d2, vis, n: int, rng: np.random.Generator):
-    """Vectorized draw from the 12-cell joint law.
-
-    P(central, i, j) = (1/8)(1 + i*j*vis*cos(d1+d2)); each of the 8 side cells
-    has probability 1/16. Branch weights are phase-independent (1/2, 1/4, 1/4),
-    so branches are drawn first, then i uniform, then j given i on the central
-    branch. d1/d2 may be arrays of length n (per-pair phase noise).
-    """
-    u = rng.random(n)
-    # 0 = central, 1 = short-long, 2 = long-short
-    branch = np.where(u < 0.5, 0, np.where(u < 0.75, 1, 2)).astype(np.int8)
-    i = np.where(rng.random(n) < 0.5, 1, -1).astype(np.int8)
-    same = rng.random(n) < 0.5 * (1.0 + vis * np.cos(np.asarray(d1) + np.asarray(d2)))
-    j_central = np.where(same, i, -i)
-    j_side = np.where(rng.random(n) < 0.5, 1, -1).astype(np.int8)
-    j = np.where(branch == 0, j_central, j_side).astype(np.int8)
-    return branch, i, j
+        return times_ps
+    offset = rng.normal(0.0, fwhm_to_sigma(det.jitter_fwhm) / PS, size=len(times_ps))
+    return times_ps + np.rint(offset, out=offset).astype(np.int64)
 
 
 def generate_dark_counts(rate: float, duration: float, rng: np.random.Generator,
@@ -93,8 +68,9 @@ def _slice_keys(config: ExperimentConfig, d1: float, d2: float,
 
     Loss thins the split pairs independently on each side, so (colouring
     theorem) pairs detected on both sides and each side's one-sided events are
-    independent Poisson streams. Only the first needs the joint law; one-sided
-    events take its marginals: a uniform port and the long arm with prob. 1/2.
+    independent Poisson streams. Only the first needs the joint law, one draw
+    from its 16 cells per pair; one-sided events take its marginals: a uniform
+    port and the long arm with prob. 1/2.
     Times are drawn uniformly on the 1 ps grid of the slice, from ``t0_ps``;
     the path delay and the centre offset are rounded to whole ps, and so is
     the jitter.
@@ -106,29 +82,33 @@ def _slice_keys(config: ExperimentConfig, d1: float, d2: float,
     eta1 = src.arm1_transmission * config.detector_start.efficiency
     eta2 = src.arm2_transmission * config.detector_stop.efficiency
 
+    # Cell bits: 3 start arm, 2 stop arm (set = long), 1 start port, 0 stop
+    # port (set = the -1 port). Only pairs through a common arm, whose two
+    # paths are indistinguishable, interfere:
+    # P = (1 + [same arm]·i·j·V'·cos(d1 + d2)) / 16, where
+    # V' = V·exp(-(σ1² + σ2²)/2) is V averaged over each pair's white phase noise.
+    cell = np.arange(16)
+    same_arm = (cell >> 3) == (cell >> 2 & 1)
+    ij = np.where((cell >> 1 & 1) == (cell & 1), 1, -1)
+    vis = config.visibility * math.exp(-(config.analyzer1.phase_noise_sigma ** 2
+                                         + config.analyzer2.phase_noise_sigma ** 2) / 2)
     n_both = rng.poisson(split * eta1 * eta2)
     emission = rng.integers(t0_ps, end_ps, n_both)
-    eff_d1 = d1 + rng.normal(0.0, config.analyzer1.phase_noise_sigma, n_both)
-    eff_d2 = d2 + rng.normal(0.0, config.analyzer2.phase_noise_sigma, n_both)
-    branch, i, j = _sample_branches_outcomes(eff_d1, eff_d2, config.visibility, n_both, rng)
-    # Arm traversal offsets: the central branch collapses to a common arm
-    # (dt = 0 either way); the mixed branches sit at +-path_delay.
-    common = np.where(rng.random(n_both) < 0.5, delay, 0)
-    start_off = np.where(branch == 0, common, np.where(branch == 2, delay, 0))
-    stop_off = np.where(branch == 0, common, np.where(branch == 1, delay, 0))
+    cells = rng.choice(16, n_both, p=(1 + same_arm * ij * vis * math.cos(d1 + d2)) / 16)
 
     blocks, channels = [], []
-    for side, det, both_time, both_sign, mean_one, shift in (
-            (0, config.detector_start, emission + start_off, i,
-             split * eta1 * (1.0 - eta2), 0),
-            (1, config.detector_stop, emission + stop_off, j,
-             split * (1.0 - eta1) * eta2, round(config.tphc.center_offset / PS))):
-        for port, s in ((0, 1), (2, -1)):
+    for side, det, arm_bit, port_bit, mean_one, shift in (
+            (0, config.detector_start, 3, 1, split * eta1 * (1.0 - eta2), 0),
+            (1, config.detector_stop, 2, 0, split * (1.0 - eta1) * eta2,
+             round(config.tphc.center_offset / PS))):
+        both_time = emission + delay * (cells >> arm_bit & 1)
+        both_port = cells >> port_bit & 1
+        for port in (0, 2):
             one_time = rng.integers(t0_ps, end_ps, rng.poisson(mean_one / 2))
             # The times are i.i.d., so taking the first Binomial(n, 1/2) of
             # them as the long-arm ones is the same law as a coin per event.
             one_time[:rng.binomial(len(one_time), 0.5)] += delay
-            times = np.concatenate([both_time[both_sign == s], one_time])
+            times = np.concatenate([both_time[both_port == port >> 1], one_time])
             times += shift
             blocks += [apply_jitter(times, det, rng),
                        generate_dark_counts(det.dark_rate, dur, rng, t0_ps)]

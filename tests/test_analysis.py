@@ -175,6 +175,24 @@ class TestFitFringe:
         bias = np.mean(estimates) - 0.957
         assert abs(bias) < 3 * np.mean(sigmas) / math.sqrt(30)
 
+    def test_coverage_at_the_reproduction_point(self):
+        # 25-point scans at the reproduce-paper operating point: 112.6 net and
+        # 66.6 accidental counts per point, Poisson raw counts, random phase.
+        controls = np.linspace(0, 600e-9, 25)
+        period, acc = 352e-9, 66.6
+        rng = np.random.default_rng(29)
+        z = []
+        for _ in range(1000):
+            phase = rng.uniform(0, 2 * math.pi)
+            raw = rng.poisson(112.6 * (1 + 0.957 * np.cos(2 * np.pi * controls / period + phase))
+                              + acc)
+            fit = fit_fringe([FringePoint(float(x), int(r), acc, r - acc)
+                              for x, r in zip(controls, raw)], period_hint=period)
+            z.append(abs(fit.visibility - 0.957) / fit.visibility_sigma)
+        z = np.array(z)
+        assert 0.65 <= np.mean(z <= 1) <= 0.71
+        assert np.mean(z <= 3) >= 0.99
+
 
 class TestScanFringe:
     def test_invalid_axis(self):

@@ -16,6 +16,7 @@ from fransim.config import ConfigError, DetectorParams, TphcParams, loads_config
 from fransim.events import (
     CH_START_PLUS,
     CH_STOP_PLUS,
+    OUTCOMES,
     PACK_LIMIT_PS,
     PS,
     RECORD_DTYPE,
@@ -23,10 +24,9 @@ from fransim.events import (
     pack_keys,
     window_coincidences,
 )
-from fransim.quantum import coincidence_probability
+from fransim.quantum import coincidence_probability, correlation_from_rates
 from fransim.simulator import (
     SLICE_PS,
-    _sample_branches_outcomes,
     apply_jitter,
     emit_event_stream,
     fwhm_to_sigma,
@@ -34,7 +34,6 @@ from fransim.simulator import (
     simulate_setting,
 )
 
-CENTRAL = 0  # branch code of _sample_branches_outcomes; 1 and 2 are the side peaks
 PORTS = ("start_plus", "start_minus", "stop_plus", "stop_minus")
 
 
@@ -42,59 +41,91 @@ def _ps(*times):
     return np.array(times, dtype=np.int64)
 
 
+def _pair_cells(cfg, d1, d2, seed):
+    """The pairs of a 1 s lossless, dark-free, jitter-free stream (one start
+    each) and its coincidences per port pairing in the central peak (offset 0)
+    and in the side peaks (offsets +-path_delay): the 12 cells of the pair law."""
+    stream = emit_event_stream(cfg, d1, d2, 1.0, seed)
+    delay = cfg.analyzer1.path_delay
+    cells = {offset: window_coincidences(stream, replace(cfg.tphc, center_offset=offset))
+             .coincidences for offset in (0.0, delay, -delay)}
+    return len(stream.start_plus) + len(stream.start_minus), cells
+
+
+def _correlation(counts):
+    """E and its standard error from the four counts of one peak."""
+    n = sum(counts.values())
+    e = correlation_from_rates(*(counts[outcome] for outcome in OUTCOMES))
+    return e, math.sqrt((1 - e * e) / n)
+
+
 class TestSamplePairBranch:
-    """The per-pair branch and outcome law, drawn by the vectorized sampler."""
+    """The 16-cell law of pairs detected on both sides, read from emitted streams."""
 
     def test_perfect_visibility_forbids_anticorrelated_central(self):
-        branch, i, j = _sample_branches_outcomes(0.3, -0.3, 1.0, 5000,
-                                                 np.random.default_rng(0))
-        central = branch == CENTRAL
-        assert central.any()
-        np.testing.assert_array_equal(i[central], j[central])
+        cfg = clean_config(pair_rate=5000, visibility=1.0)
+        _, cells = _pair_cells(cfg, 0.3, -0.3, 0)
+        central = cells[0.0]
+        assert central[(1, 1)] + central[(-1, -1)] > 0
+        assert central[(1, -1)] == central[(-1, 1)] == 0
+        # The side peaks, through distinguishable arms, do not interfere.
+        delay = cfg.analyzer1.path_delay
+        for offset in (delay, -delay):
+            assert cells[offset][(1, -1)] + cells[offset][(-1, 1)] > 0, offset
 
     def test_zero_visibility_is_uniform_within_branches(self):
-        n = 200_000
-        branch, i, j = _sample_branches_outcomes(1.1, 0.4, 0.0, n,
-                                                 np.random.default_rng(1))
-        for b in (0, 1, 2):
-            p = 0.125 if b == CENTRAL else 0.0625
-            for si in (1, -1):
-                for sj in (1, -1):
-                    se = math.sqrt(p * (1 - p) / n)
-                    hits = np.count_nonzero((branch == b) & (i == si) & (j == sj))
-                    assert abs(hits / n - p) < 5 * se
+        n, cells = _pair_cells(clean_config(pair_rate=200_000, visibility=0.0), 1.1, 0.4, 1)
+        for offset, counts in cells.items():
+            p = 0.125 if offset == 0.0 else 0.0625
+            for si, sj in OUTCOMES:
+                se = math.sqrt(p * (1 - p) / n)
+                assert abs(counts[(si, sj)] / n - p) < 5 * se, (offset, si, sj)
 
     def test_central_cell_frequency_matches_closed_form(self):
         d1, d2, vis = math.pi / 4, 0.0, 0.957
-        n = 1_000_000
-        branch, i, j = _sample_branches_outcomes(d1, d2, vis, n,
-                                                 np.random.default_rng(2))
-        hits = np.count_nonzero((branch == CENTRAL) & (i == 1) & (j == 1))
+        n, cells = _pair_cells(clean_config(pair_rate=1_000_000, visibility=vis), d1, d2, 2)
         expected = coincidence_probability(1, 1, d1, d2, vis)
-        assert abs(hits / n - expected) < 0.0013  # 3 sigma band
+        assert abs(cells[0.0][(1, 1)] / n - expected) < 0.0013  # 3 sigma band
+
+    def test_phase_noise_scales_the_central_correlation(self):
+        # White phase noise of sigma on each analyzer averages cos(d1 + d2) per
+        # pair down by exp(-(sigma1^2 + sigma2^2) / 2); the side peaks stay flat.
+        cfg = clean_config(pair_rate=200_000, seed=3)
+        noisy = replace(cfg.analyzer1, phase_noise_sigma=0.6)
+        cfg = replace(cfg, analyzer1=noisy, analyzer2=noisy)
+        d1, d2 = 0.3, 0.2
+        _, cells = _pair_cells(cfg, d1, d2, cfg.seed)
+        e, se = _correlation(cells[0.0])
+        assert abs(e - cfg.visibility * math.exp(-0.36) * math.cos(d1 + d2)) < 5 * se
+        delay = cfg.analyzer1.path_delay
+        for offset in (delay, -delay):
+            e, se = _correlation(cells[offset])
+            assert abs(e) < 5 * se, offset
 
 
 class TestApplyJitter:
     def test_zero_fwhm_is_identity(self):
         det = DetectorParams(efficiency=1.0, jitter_fwhm=0.0)
-        t = np.array([1.0, 2.0])
+        t = _ps(1, 2)
         assert apply_jitter(t, det, np.random.default_rng(0)) is t
 
     def test_sample_sigma(self):
         det = DetectorParams(efficiency=1.0, jitter_fwhm=200e-12)
         rng = np.random.default_rng(3)
-        out = apply_jitter(np.zeros(1_000_000), det, rng)
-        assert np.std(out) == pytest.approx(fwhm_to_sigma(200e-12), rel=0.01)
+        out = apply_jitter(np.zeros(1_000_000, np.int64), det, rng)
+        assert out.dtype == np.int64
+        assert np.std(out) * PS == pytest.approx(fwhm_to_sigma(200e-12), rel=0.01)
         assert fwhm_to_sigma(200e-12) == pytest.approx(84.93e-12, rel=1e-3)
 
     def test_histogram_fwhm(self):
         det = DetectorParams(efficiency=1.0, jitter_fwhm=200e-12)
         rng = np.random.default_rng(4)
-        out = apply_jitter(np.zeros(1_000_000), det, rng)
-        counts, edges = np.histogram(out, bins=400, range=(-500e-12, 500e-12))
+        out = apply_jitter(np.zeros(1_000_000, np.int64), det, rng)
+        # 5 ps bins with half-ps edges hold 5 grid points each.
+        counts, edges = np.histogram(out, bins=201, range=(-502.5, 502.5))
         half = counts.max() / 2
         above = edges[:-1][counts >= half]
-        fwhm = above.max() - above.min() + (edges[1] - edges[0])
+        fwhm = (above.max() - above.min() + (edges[1] - edges[0])) * PS
         assert fwhm == pytest.approx(200e-12, rel=0.03)
 
 
