@@ -126,7 +126,8 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     _check_prob(s.arm1_transmission, "source.arm1_transmission")
     _check_prob(s.arm2_transmission, "source.arm2_transmission")
     for name, ana in (("analyzer1", cfg.analyzer1), ("analyzer2", cfg.analyzer2)):
-        _require(ana.path_delay > 0, f"{name}.path_delay", "must be > 0")
+        _require(0 < ana.path_delay <= SLICE_SECONDS, f"{name}.path_delay",
+                 f"must be > 0 and fit in one {SLICE_SECONDS} s slice, got {ana.path_delay} s")
         _require(ana.phase_noise_sigma >= 0, f"{name}.phase_noise_sigma", "must be >= 0")
     _require(
         cfg.analyzer1.path_delay == cfg.analyzer2.path_delay,

@@ -202,12 +202,18 @@ def pack_keys(blocks, channels=range(4)) -> np.ndarray:
     keys = np.empty(sum(len(times) for times in blocks), np.int64)
     end = 0
     for channel, times in zip(channels, blocks):
-        _check_packable(times, f"on channel {channel}")
         begin, end = end, end + len(times)
-        np.multiply(times, 4, out=keys[begin:end])
-        keys[begin:end] += channel
+        pack_into(keys[begin:end], times, channel)
     keys.sort()
     return keys
+
+
+def pack_into(keys: np.ndarray, times: np.ndarray, channel: int) -> None:
+    """Write the (unsorted) keys of ps ``times`` on ``channel`` into ``keys``,
+    an int64 array of the same length; |t| >= 2**61 ps raises ``ValueError``."""
+    _check_packable(times, f"on channel {channel}")
+    np.multiply(times, 4, out=keys)
+    keys += channel
 
 
 # Long key arrays are scanned this many keys at a time, so a scan's

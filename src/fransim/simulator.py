@@ -2,13 +2,14 @@
 
 The run duration is cut into fixed 1 s slices, each driven by a random stream
 derived from (seed, slice index), so results are reproducible and independent
-of how slices might be distributed over workers. Each slice is drawn in
+of which thread makes each slice. Each slice is drawn in
 integer picoseconds from its start and packed straight into one sorted array
 of event keys.
 """
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .events import (
     PS,
     CountSummary,
     EventStream,
-    pack_keys,
+    pack_into,
     pair_positions,
     pairing_counts,
     window_coincidences,
@@ -61,10 +62,10 @@ def generate_dark_counts(rate: float, duration: float, rng: np.random.Generator,
     return rng.integers(t0_ps, t0_ps + max(1, round(duration / PS)), n)
 
 
-def _slice_keys(config: ExperimentConfig, d1: float, d2: float,
-                t0_ps: int, dur: float, rng: np.random.Generator) -> np.ndarray:
+def _slice_keys(config: ExperimentConfig, d1: float, d2: float, t0_ps: int, dur: float,
+                rng: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
     """One time slice's events as sorted packed keys (see
-    :func:`fransim.events.pack_keys`).
+    :func:`fransim.events.pack_keys`), a view of ``out`` if they fit in it.
 
     Loss thins the split pairs independently on each side, so (colouring
     theorem) pairs detected on both sides and each side's one-sided events are
@@ -73,7 +74,9 @@ def _slice_keys(config: ExperimentConfig, d1: float, d2: float,
     port and the long arm with prob. 1/2.
     Times are drawn uniformly on the 1 ps grid of the slice, from ``t0_ps``;
     the path delay and the centre offset are rounded to whole ps, and so is
-    the jitter.
+    the jitter. Each block is packed into one key array as it is drawn; without
+    ``out`` that array is sized from the expected event count plus 9 of its
+    standard deviations, and a block that does not fit grows it.
     """
     src = config.source
     end_ps = t0_ps + max(1, round(dur / PS))  # a sub-ps last slice keeps one grid point
@@ -81,6 +84,17 @@ def _slice_keys(config: ExperimentConfig, d1: float, d2: float,
     split = src.pair_rate * src.split_efficiency * dur
     eta1 = src.arm1_transmission * config.detector_start.efficiency
     eta2 = src.arm2_transmission * config.detector_stop.efficiency
+    mean = split * (eta1 + eta2) + 2 * dur * (config.detector_start.dark_rate
+                                              + config.detector_stop.dark_rate)
+    keys = np.empty(math.ceil(mean + 9 * math.sqrt(mean)), np.int64) if out is None else out
+    end = 0
+
+    def put(times, channel):
+        nonlocal keys, end
+        if end + len(times) > len(keys):
+            keys = np.concatenate([keys[:end], np.empty(max(len(times), len(keys)), np.int64)])
+        pack_into(keys[end:end + len(times)], times, channel)
+        end += len(times)
 
     # Cell bits: 3 start arm, 2 stop arm (set = long), 1 start port, 0 stop
     # port (set = the -1 port). Only pairs through a common arm, whose two
@@ -96,7 +110,6 @@ def _slice_keys(config: ExperimentConfig, d1: float, d2: float,
     emission = rng.integers(t0_ps, end_ps, n_both)
     cells = rng.choice(16, n_both, p=(1 + same_arm * ij * vis * math.cos(d1 + d2)) / 16)
 
-    blocks, channels = [], []
     for side, det, arm_bit, port_bit, mean_one, shift in (
             (0, config.detector_start, 3, 1, split * eta1 * (1.0 - eta2), 0),
             (1, config.detector_stop, 2, 0, split * (1.0 - eta1) * eta2,
@@ -110,10 +123,11 @@ def _slice_keys(config: ExperimentConfig, d1: float, d2: float,
             one_time[:rng.binomial(len(one_time), 0.5)] += delay
             times = np.concatenate([both_time[both_port == port >> 1], one_time])
             times += shift
-            blocks += [apply_jitter(times, det, rng),
-                       generate_dark_counts(det.dark_rate, dur, rng, t0_ps)]
-            channels += [side | port] * 2
-    return pack_keys(blocks, channels)
+            put(apply_jitter(times, det, rng), side | port)
+            put(generate_dark_counts(det.dark_rate, dur, rng, t0_ps), side | port)
+    keys = keys[:end]
+    keys.sort()
+    return keys
 
 
 def _check_span_end(first_slice: int, duration: float) -> None:
@@ -125,8 +139,9 @@ def _check_span_end(first_slice: int, duration: float) -> None:
                          f"(about 26.7 days) that event keys can hold")
 
 
-def emit_event_stream(config: ExperimentConfig, d1: float, d2: float,
-                      duration: float, seed: int, *, start: float = 0.0) -> EventStream:
+def emit_event_stream(config: ExperimentConfig, d1: float, d2: float, duration: float,
+                      seed: int, *, start: float = 0.0,
+                      out: np.ndarray | None = None) -> EventStream:
     """Detection record of ``[start, start + duration)``, made by slices
     ``start / SLICE_SECONDS, ...`` of the run.
 
@@ -135,7 +150,9 @@ def emit_event_stream(config: ExperimentConfig, d1: float, d2: float,
     stream, so merging the keys of consecutive spans gives the record of the
     whole span. Feeding a whole-run record (``start = 0``) into
     :func:`fransim.events.window_coincidences` reproduces
-    :func:`simulate_setting` exactly for the same seed.
+    :func:`simulate_setting` exactly for the same seed. For a one-slice span,
+    an int64 ``out`` large enough for the slice receives its keys and the
+    stream's keys are a view of it; a smaller one is replaced by a new array.
     """
     if duration <= 0:
         raise ValueError(f"duration must be > 0, got {duration}")
@@ -145,14 +162,16 @@ def emit_event_stream(config: ExperimentConfig, d1: float, d2: float,
                          f"{SLICE_SECONDS} s slices, got {start}")
     _check_span_end(int(first), duration)
     validate_config(config)
+    n_slices = max(1, int(math.ceil(duration / SLICE_SECONDS)))
+    if out is not None and (n_slices > 1 or out.dtype != np.int64):
+        raise ValueError(f"out takes the int64 keys of one slice, got {n_slices} of {out.dtype}")
 
     slices = []
-    n_slices = max(1, int(math.ceil(duration / SLICE_SECONDS)))
     for n in range(n_slices):
         k = int(first) + n
         dur = min(SLICE_SECONDS, duration - n * SLICE_SECONDS)
         slices.append(_slice_keys(config, d1, d2, k * SLICE_PS, dur,
-                                  np.random.default_rng([seed, k])))
+                                  np.random.default_rng([seed, k]), out))
     keys = slices[0]
     if n_slices > 1:
         keys = np.concatenate(slices)
@@ -165,11 +184,13 @@ def simulate_setting(config: ExperimentConfig, d1: float, d2: float,
                      duration: float, seed: int) -> CountSummary:
     """Simulate one phase setting and window-discriminate the coincidences.
 
-    Each 1 s slice is made by :func:`emit_event_stream` and counted at once,
-    so memory is bounded by one slice, not the run. A pair is counted when its
-    later event's slice is made: pairs within the slice by
-    :func:`fransim.events.window_coincidences`, pairs reaching back by the
-    same walk on the carried keys and the slice's head (its events within the
+    Each 1 s slice is made by :func:`emit_event_stream` and counted in order,
+    so at most two slices are alive: a worker thread makes each odd slice
+    while this thread makes the even one before it (numpy releases the GIL
+    in the draws and the sort), each into its thread's previous key buffer.
+    A pair is counted with its later event's slice: pairs within the slice by
+    :func:`fransim.events.window_coincidences`, pairs reaching back by the same
+    walk on the carried keys and the slice's head (its events within the
     window's reach of the last carried one). The carry keeps the events at or
     past ``t0 - margin + min(lo, 0)`` of the next slice, where ``margin`` is
     the window reach (half-width + |center_offset|) plus ``JITTER_SIGMAS`` of
@@ -196,10 +217,17 @@ def simulate_setting(config: ExperimentConfig, d1: float, d2: float,
     coinc = np.zeros(len(OUTCOMES), np.int64)
     singles_start = singles_stop = 0
     n_slices = max(1, int(math.ceil(duration / SLICE_SECONDS)))
-    for k in range(n_slices):
+    buffers = [None, None]  # the key buffer of each thread's last slice
+
+    def make(k):
         t0 = k * SLICE_SECONDS
-        dur = min(SLICE_SECONDS, duration - t0)
-        part = emit_event_stream(config, d1, d2, dur, seed, start=t0)
+        part = emit_event_stream(config, d1, d2, min(SLICE_SECONDS, duration - t0), seed,
+                                 start=t0, out=buffers[k % 2])
+        buffers[k % 2] = part.keys.base
+        return part
+
+    def count(k, part):
+        nonlocal carry, coinc, singles_start, singles_stop
         keys = part.keys
         floor = k * SLICE_PS - margin
         early = keys[:np.searchsorted(keys, 4 * (floor + max(hi, 0)))]
@@ -220,7 +248,14 @@ def simulate_setting(config: ExperimentConfig, d1: float, d2: float,
         bound = 4 * ((k + 1) * SLICE_PS - margin + min(lo, 0))
         carry = np.sort(np.concatenate([carry[np.searchsorted(carry, bound):],
                                         keys[np.searchsorted(keys, bound):]]))
-        del part, keys  # free this slice before the next one is made
+
+    # A one-slice setting submits nothing, so it starts no thread.
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="fransim-slice") as worker:
+        for k in range(0, n_slices, 2):
+            ahead = worker.submit(make, k + 1) if k + 1 < n_slices else None
+            count(k, make(k))
+            if ahead is not None:
+                count(k + 1, ahead.result())
     return CountSummary.from_counts(duration, singles_start, singles_stop,
                                     dict(zip(OUTCOMES, coinc.tolist())),
                                     config.tphc.window_width)

@@ -170,6 +170,15 @@ class TestCli:
         assert rc == 2
         assert "tphc.center_offset: the window's reach" in capsys.readouterr().err
 
+    def test_path_delay_past_a_slice_is_rejected(self, tmp_path, capsys):
+        # 1e10 s is 1e22 ps, past int64; the long arm must fit in one 1 s slice.
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(SMALL_CFG + "analyzer1.path_delay = 1e10 s\n"
+                       "analyzer2.path_delay = 1e10 s\n")
+        rc = main(["simulate", "--config", str(bad), "--out", str(tmp_path / "y.csv")])
+        assert rc == 2
+        assert "analyzer1.path_delay: must be > 0 and fit in one" in capsys.readouterr().err
+
     def test_lhv_command_respects_bound(self, tmp_path):
         out = tmp_path / "lhv.txt"
         rc = main(["lhv", "--quiet", "--pairs", "100000", "--seed", "5",

@@ -1,6 +1,9 @@
 import math
 import struct
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from unittest import mock
 
@@ -449,7 +452,7 @@ class TestStreamingSlices:
                 ports[name] = np.sort(np.array(times, dtype=np.int64))
             slices.append(ports)
 
-        def fake_emit(config, d1, d2, duration, seed, *, start=0.0):
+        def fake_emit(config, d1, d2, duration, seed, *, start=0.0, **kwargs):
             return EventStream.from_ports(duration, **slices[int(start)])
 
         with mock.patch.object(simulator, "emit_event_stream", fake_emit):
@@ -461,7 +464,7 @@ class TestStreamingSlices:
     def test_event_before_the_margin_raises(self, monkeypatch):
         real_emit = simulator.emit_event_stream
 
-        def early_emit(config, d1, d2, duration, seed, *, start=0.0):
+        def early_emit(config, d1, d2, duration, seed, *, start=0.0, **kwargs):
             stream = real_emit(config, d1, d2, duration, seed, start=start)
             if start == 1.0:  # one start 1 us before the slice opens
                 stream.start_plus = np.concatenate([[SLICE_PS - 10**6], stream.start_plus])
@@ -499,3 +502,71 @@ class TestStreamingSlices:
             finally:
                 tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) <= 0.15 * peaks[0], peaks
+
+    def test_at_most_two_slices_are_alive(self):
+        # Each thread writes its next slice into its last one's key buffer, so
+        # the peak is two slices plus the draws in flight. Keeping the last
+        # slice alive while the next one is drawn and packed took 3.0 slices.
+        cfg = clean_config(pair_rate=0.0, dark_start=250e3, dark_stop=380e3, seed=101)
+        slice_bytes = 8 * 2 * (250e3 + 380e3)  # the int64 keys of 1 s of dark counts
+        tracemalloc.start()
+        try:
+            simulate_setting(cfg, 0.0, 0.0, 4.0, cfg.seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.75 * slice_bytes, peak / slice_bytes
+
+
+class TestSliceThreads:
+    """simulate_setting makes every odd slice on a worker thread."""
+
+    @pytest.mark.parametrize("failing", [2, 3])
+    def test_a_slice_error_reaches_the_caller_and_the_worker_ends(self, monkeypatch, failing):
+        real_emit = simulator.emit_event_stream
+
+        def emit(*args, start=0.0, **kwargs):
+            if start == failing:
+                raise ArithmeticError(f"slice {failing}")
+            return real_emit(*args, start=start, **kwargs)
+
+        monkeypatch.setattr(simulator, "emit_event_stream", emit)
+        threads = threading.active_count()
+        with pytest.raises(ArithmeticError, match=f"slice {failing}"):
+            simulate_setting(clean_config(pair_rate=1e4, dark_stop=1e3), 0.0, 0.0, 4.0, 1)
+        assert threading.active_count() == threads
+
+    def test_concurrent_callers_get_their_own_counts(self):
+        # Four callers, each with its worker, switching threads every 1 us.
+        cfg = clean_config(pair_rate=2e4, dark_stop=2e3, jitter_stop=200e-12)
+        expected = {seed: window_coincidences(emit_event_stream(cfg, 0.4, 0.1, 3.5, seed),
+                                              cfg.tphc) for seed in range(4)}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(len(expected)) as callers:
+                got = list(callers.map(lambda seed: simulate_setting(cfg, 0.4, 0.1, 3.5, seed),
+                                       expected, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == list(expected.values())
+
+    def test_one_slice_starts_no_thread(self):
+        cfg = clean_config(pair_rate=1e4, dark_stop=1e3)
+        with mock.patch.object(threading.Thread, "start", side_effect=AssertionError):
+            summary = simulate_setting(cfg, 0.3, 0.1, 1.0, 2)
+        assert summary == window_coincidences(emit_event_stream(cfg, 0.3, 0.1, 1.0, 2), cfg.tphc)
+
+    def test_out_receives_the_keys_and_grows_when_short(self):
+        cfg = _lossy(clean_config(pair_rate=5e4, dark_start=1e3, dark_stop=2e3,
+                                  jitter_stop=200e-12))
+        keys = emit_event_stream(cfg, 0.3, 0.2, 1.0, 7, start=2.0).keys
+        for out in (np.empty(0, np.int64), np.empty(len(keys) - 1, np.int64),
+                    np.empty(len(keys) + 5, np.int64)):
+            got = emit_event_stream(cfg, 0.3, 0.2, 1.0, 7, start=2.0, out=out).keys
+            np.testing.assert_array_equal(got, keys)
+            assert np.shares_memory(got, out) == (len(out) >= len(keys)), len(out)
+
+    def test_out_with_a_multi_slice_span_rejected(self):
+        with pytest.raises(ValueError, match="out takes the int64 keys of one slice"):
+            emit_event_stream(clean_config(), 0.0, 0.0, 1.5, 1, out=np.empty(10**6, np.int64))
