@@ -84,14 +84,13 @@ def _point_seed(base_seed: int, index: int) -> int:
 
 
 def scan_fringe(config: ExperimentConfig, scan_axis: str,
-                points: Sequence[float], dwell: float,
-                outcome: Tuple[int, int] = (1, 1)) -> List[FringePoint]:
+                points: Sequence[float], dwell: float) -> List[FringePoint]:
     """Simulate a fringe scan, one count summary per control value.
 
     scan_axis 'mirror1' moves the bulk-interferometer mirror: a displacement x
     sets d1 = analyzer1.phase + 4*pi*x/wavelength1 (double-pass Michelson).
     scan_axis 'phase2' drives the fiber-interferometer phase directly.
-    By default only the (+,+) port pairing is recorded, mirroring single-output
+    Only the (+,+) port pairing is recorded, mirroring single-output
     detection; accidentals are subtracted per point.
     """
     if scan_axis not in ("mirror1", "phase2"):
@@ -109,7 +108,7 @@ def scan_fringe(config: ExperimentConfig, scan_axis: str,
             d1 = config.analyzer1.phase
             d2 = x
         summary = simulate_setting(config, d1, d2, dwell, _point_seed(config.seed, k))
-        raw = summary.coincidences[outcome]
+        raw = summary.coincidences[(1, 1)]
         acc = summary.accidental_estimate
         result.append(FringePoint(control=float(x), raw_coincidences=raw,
                                   accidentals=acc, net=raw - acc))
@@ -246,9 +245,8 @@ def _assemble_report(settings: ChshSettings, per_setting, sampler: str) -> ChshR
         es.append(e)
         sigmas.append(se)
         singles.append(_single_port_correlation(net))
-    s = abs(es[0] - es[1]) + es[2] + es[3]
+    s = settings.combine(es)
     s_sigma = math.sqrt(sum(sg ** 2 for sg in sigmas))
-    sp_s = abs(singles[0] - singles[1]) + singles[2] + singles[3]
     return ChshReport(
         settings=settings,
         correlations=es,
@@ -257,7 +255,7 @@ def _assemble_report(settings: ChshSettings, per_setting, sampler: str) -> ChshR
         s_sigma=s_sigma,
         significance=(s - 2.0) / s_sigma if s_sigma > 0 else math.inf,
         single_port_correlations=singles,
-        single_port_s=sp_s,
+        single_port_s=settings.combine(singles),
         sampler=sampler,
     )
 

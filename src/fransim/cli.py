@@ -29,6 +29,7 @@ from .config import (
     dump_config,
     load_config,
     reproduction_config,
+    validate_config,
 )
 from .quantum import STANDARD_SETTINGS
 from .simulator import simulate_setting
@@ -39,31 +40,27 @@ DEFAULT_SCAN_SPAN = 600e-9  # m of mirror displacement, ~1.7 fringes
 def _load(args, default=default_config) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else default()
     if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+        cfg = validate_config(replace(cfg, seed=args.seed))
     return cfg
 
 
-def _write(path: Path, text: str, quiet: bool) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
-    if not quiet:
-        print(f"wrote {path}", file=sys.stderr)
-
-
-def _manifest(cfg: ExperimentConfig, command: str, out: Path, **extra) -> str:
-    lines = [
-        f"tool = fransim {TOOL_VERSION}",
-        f"command = {command}",
-        f"output = {out.name}",
-        f"config_hash = {config_hash(cfg)}",
-        f"seed = {cfg.seed}",
-    ]
-    lines.extend(f"{key} = {value}" for key, value in extra.items())
-    return "\n".join(lines) + "\n# config\n" + dump_config(cfg)
-
-
-def _sidecar(out: Path) -> Path:
-    return out.with_suffix(out.suffix + ".manifest")
+def _save(args, cfg: ExperimentConfig, command: str, text: str,
+          json_text: str | None = None, **extra) -> None:
+    """Write ``text`` to ``--out``, then ``json_text`` (if given) to
+    ``--out``.json and the run's manifest (``extra`` adds its lines) to
+    ``--out``.manifest, naming each file on stderr unless ``--quiet``."""
+    out = Path(args.out)
+    head = {"tool": f"fransim {TOOL_VERSION}", "command": command, "output": out.name,
+            "config_hash": config_hash(cfg), "seed": cfg.seed, **extra}
+    manifest = "".join(f"{key} = {value}\n" for key, value in head.items())
+    manifest += "# config\n" + dump_config(cfg)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    for suffix, content in (("", text), (".json", json_text), (".manifest", manifest)):
+        if content is not None:
+            path = out.with_suffix(out.suffix + suffix)
+            path.write_text(content)
+            if not args.quiet:
+                print(f"wrote {path}", file=sys.stderr)
 
 
 def cmd_simulate(args) -> int:
@@ -77,9 +74,7 @@ def cmd_simulate(args) -> int:
         f"{c[(1, 1)]},{c[(1, -1)]},{c[(-1, 1)]},{c[(-1, -1)]},"
         f"{summary.accidental_estimate!r}",
     ]
-    out = Path(args.out)
-    _write(out, "\n".join(lines) + "\n", args.quiet)
-    _write(_sidecar(out), _manifest(cfg, "simulate", out, dwell=args.dwell), args.quiet)
+    _save(args, cfg, "simulate", "\n".join(lines) + "\n", dwell=args.dwell)
     return 0
 
 
@@ -87,12 +82,8 @@ def cmd_scan(args) -> int:
     cfg = _load(args)
     controls = np.linspace(0.0, args.span, args.points)
     points = scan_fringe(cfg, args.axis, controls, args.dwell)
-    out = Path(args.out)
-    _write(out, fringe_csv(points, cfg, args.dwell), args.quiet)
-    _write(_sidecar(out),
-           _manifest(cfg, "scan", out, dwell=args.dwell, points=args.points,
-                     axis=args.axis, span=args.span),
-           args.quiet)
+    _save(args, cfg, "scan", fringe_csv(points, cfg, args.dwell), dwell=args.dwell,
+          points=args.points, axis=args.axis, span=args.span)
     hint = cfg.wavelength1 / 2 if args.axis == "mirror1" else 2 * math.pi
     fit = fit_fringe(points, period_hint=hint)
     if not args.quiet:
@@ -101,24 +92,20 @@ def cmd_scan(args) -> int:
     return 0
 
 
-def _write_chsh_report(args, cfg, report, command: str, **extra) -> int:
-    out = Path(args.out)
-    _write(out, chsh_report_text(report), args.quiet)
-    _write(out.with_suffix(out.suffix + ".json"), chsh_report_json(report), args.quiet)
-    _write(_sidecar(out), _manifest(cfg, command, out, **extra), args.quiet)
-    return 0
-
-
 def cmd_chsh(args) -> int:
     cfg = _load(args)
     report = chsh_experiment(cfg, STANDARD_SETTINGS, args.dwell)
-    return _write_chsh_report(args, cfg, report, "chsh", dwell=args.dwell)
+    _save(args, cfg, "chsh", chsh_report_text(report), chsh_report_json(report),
+          dwell=args.dwell)
+    return 0
 
 
 def cmd_lhv(args) -> int:
     cfg = _load(args)
     report = lhv_chsh_experiment(STANDARD_SETTINGS, args.pairs, cfg.seed)
-    return _write_chsh_report(args, cfg, report, "lhv", pairs=args.pairs)
+    _save(args, cfg, "lhv", chsh_report_text(report), chsh_report_json(report),
+          pairs=args.pairs)
+    return 0
 
 
 def cmd_reproduce_paper(args) -> int:
@@ -145,12 +132,8 @@ def cmd_reproduce_paper(args) -> int:
         print(f"{name:<{width}}  {got:>12.4g}  {want:>12.4g}  "
               f"{'pass' if ok else 'FAIL'}")
     if args.out:
-        out = Path(args.out)
-        _write(out, fringe_csv(points, cfg, args.dwell), args.quiet)
-        _write(_sidecar(out),
-               _manifest(cfg, "reproduce-paper", out, dwell=args.dwell,
-                         points=args.points, span=args.span),
-               args.quiet)
+        _save(args, cfg, "reproduce-paper", fringe_csv(points, cfg, args.dwell),
+              dwell=args.dwell, points=args.points, span=args.span)
     return 0 if all(r[3] for r in rows) else 1
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 __all__ = [
     "ConfigError",
@@ -39,9 +39,13 @@ def fwhm_to_sigma(fwhm: float) -> float:
     return fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 
 
+# Field metadata of a value the config file may give with a unit suffix.
+QTY = {"tag": "qty"}
+
+
 @dataclass
 class SourceParams:
-    pair_rate: float = 2.0e7            # created pairs / s
+    pair_rate: float = field(default=2.0e7, metadata=QTY)  # created pairs / s
     split_efficiency: float = 0.05      # pair exits by different output fibers
     arm1_transmission: float = 0.77     # aggregate post-source loss, start arm
     arm2_transmission: float = 0.00551  # aggregate post-source loss, stop arm
@@ -49,26 +53,30 @@ class SourceParams:
 
 @dataclass
 class InterferometerParams:
-    phase: float = 0.0                  # rad
-    path_delay: float = 0.7e-9          # s, long minus short traversal time
+    phase: float = field(default=0.0, metadata=QTY)  # rad
+    path_delay: float = field(default=0.7e-9, metadata=QTY)  # s, long minus short traversal time
     phase_noise_sigma: float = 0.0      # rad, optional white phase noise
 
 
 @dataclass
 class DetectorParams:
     efficiency: float = 0.65
-    dark_rate: float = 0.0              # counts / s, per detector
-    jitter_fwhm: float = 0.0            # s
+    dark_rate: float = field(default=0.0, metadata=QTY)  # counts / s, per detector
+    jitter_fwhm: float = field(default=0.0, metadata=QTY)  # s
 
 
 @dataclass
 class TphcParams:
-    window_width: float = 350e-12       # s
-    center_offset: float = 0.0          # s, calibrated central-peak position
+    window_width: float = field(default=350e-12, metadata=QTY)  # s
+    center_offset: float = field(default=0.0, metadata=QTY)  # s, calibrated central-peak position
 
 
 @dataclass
 class ExperimentConfig:
+    # Field order is the canonical key order of the config dump.
+    visibility: float = 0.957
+    wavelength1: float = field(default=704e-9, metadata=QTY)  # m, start-side photon wavelength
+    seed: int = 12345
     source: SourceParams = field(default_factory=SourceParams)
     analyzer1: InterferometerParams = field(default_factory=InterferometerParams)
     analyzer2: InterferometerParams = field(default_factory=InterferometerParams)
@@ -81,9 +89,6 @@ class ExperimentConfig:
         )
     )
     tphc: TphcParams = field(default_factory=TphcParams)
-    wavelength1: float = 704e-9         # m, start-side photon wavelength
-    visibility: float = 0.957
-    seed: int = 12345
 
 
 def default_config() -> ExperimentConfig:
@@ -116,9 +121,9 @@ def _check_prob(value: float, key: str) -> None:
 
 def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     """Check all type invariants; raises ConfigError with the offending key path."""
-    for key, kind in _KEYS:
-        if kind != "int":
-            value = _get(cfg, key)
+    for key, tag, owner, attr in _fields(cfg):
+        if tag != "int":
+            value = getattr(owner, attr)
             _require(math.isfinite(value), key, f"must be finite, got {value}")
     s = cfg.source
     _require(s.pair_rate >= 0, "source.pair_rate", "must be >= 0")
@@ -191,51 +196,24 @@ def _parse_int(text: str, key: str) -> int:
         raise ConfigError(f"{key}: expected an integer, got {text!r}") from None
 
 
-# Canonical key order; each entry: (dotted key, parser tag).
-_KEYS = [
-    ("visibility", "float"),
-    ("wavelength1", "qty"),
-    ("seed", "int"),
-    ("source.pair_rate", "qty"),
-    ("source.split_efficiency", "float"),
-    ("source.arm1_transmission", "float"),
-    ("source.arm2_transmission", "float"),
-    ("analyzer1.phase", "qty"),
-    ("analyzer1.path_delay", "qty"),
-    ("analyzer1.phase_noise_sigma", "float"),
-    ("analyzer2.phase", "qty"),
-    ("analyzer2.path_delay", "qty"),
-    ("analyzer2.phase_noise_sigma", "float"),
-    ("detector_start.efficiency", "float"),
-    ("detector_start.dark_rate", "qty"),
-    ("detector_start.jitter_fwhm", "qty"),
-    ("detector_stop.efficiency", "float"),
-    ("detector_stop.dark_rate", "qty"),
-    ("detector_stop.jitter_fwhm", "qty"),
-    ("tphc.window_width", "qty"),
-    ("tphc.center_offset", "qty"),
-]
-_KEY_KIND = dict(_KEYS)
-
-
-def _get(cfg: ExperimentConfig, dotted: str):
-    obj = cfg
-    for part in dotted.split("."):
-        obj = getattr(obj, part)
-    return obj
-
-
-def _set(cfg: ExperimentConfig, dotted: str, value) -> None:
-    parts = dotted.split(".")
-    obj = cfg
-    for part in parts[:-1]:
-        obj = getattr(obj, part)
-    setattr(obj, parts[-1], value)
+def _fields(obj, prefix: str = ""):
+    """Yield (dotted key, parser tag, owner, attribute) of every config key
+    under the dataclass ``obj``, in field order, walking nested dataclasses.
+    The tag is ``int`` for an int field, ``qty`` for a field declared with
+    ``metadata=QTY`` (a unit suffix is allowed) and ``float`` otherwise."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            yield from _fields(value, f"{prefix}{f.name}.")
+        else:
+            tag = f.metadata.get("tag", "int" if f.type in (int, "int") else "float")
+            yield prefix + f.name, tag, obj, f.name
 
 
 def loads_config(text: str, origin: str = "<string>") -> ExperimentConfig:
     """Parse config text on top of the defaults; unknown keys are rejected."""
     cfg = default_config()
+    keys = {key: (tag, owner, attr) for key, tag, owner, attr in _fields(cfg)}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -243,20 +221,20 @@ def loads_config(text: str, origin: str = "<string>") -> ExperimentConfig:
         if "=" not in line:
             raise ConfigError(f"{origin}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = (part.strip() for part in line.partition("="))
-        kind = _KEY_KIND.get(key)
-        if kind is None:
+        if key not in keys:
             raise ConfigError(f"{origin}:{lineno}: unknown key {key!r}")
+        tag, owner, attr = keys[key]
         where = f"{origin}:{lineno}: {key}"
-        if kind == "int":
+        if tag == "int":
             parsed = _parse_int(value, where)
-        elif kind == "qty":
+        elif tag == "qty":
             parsed = parse_quantity(value, where)
         else:
             try:
                 parsed = float(value)
             except ValueError:
                 raise ConfigError(f"{where}: expected a number, got {value!r}") from None
-        _set(cfg, key, parsed)
+        setattr(owner, attr, parsed)
     return validate_config(cfg)
 
 
@@ -273,9 +251,9 @@ def load_config(path) -> ExperimentConfig:
 def dump_config(cfg: ExperimentConfig) -> str:
     """Canonical SI-unit dump; load(dump(cfg)) round-trips byte-identically."""
     lines = []
-    for key, kind in _KEYS:
-        value = _get(cfg, key)
-        lines.append(f"{key} = {int(value) if kind == 'int' else repr(float(value))}")
+    for key, tag, owner, attr in _fields(cfg):
+        value = getattr(owner, attr)
+        lines.append(f"{key} = {int(value) if tag == 'int' else repr(float(value))}")
     return "\n".join(lines) + "\n"
 
 

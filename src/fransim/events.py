@@ -118,6 +118,8 @@ class EventStream:
             header = fh.read(5)
             if header[:4] != MAGIC:
                 raise ValueError(f"{path}: not a detection-record file")
+            if len(header) < 5:
+                raise ValueError(f"{path}: truncated, no format version byte")
             if header[4] != FORMAT_VERSION:
                 raise ValueError(f"{path}: unsupported format version {header[4]}")
             data = fh.read()
@@ -190,9 +192,9 @@ def _check_packable(times: np.ndarray, where: str) -> None:
                          f"{times.min()} to {times.max()} ps {where}")
 
 
-def pack_keys(blocks, channels=range(4)) -> np.ndarray:
-    """Sorted int64 keys ``time_ps * 4 + channel``, where ``blocks[i]`` holds
-    ps times of channel byte ``channels[i]``.
+def pack_keys(blocks) -> np.ndarray:
+    """Sorted int64 keys ``time_ps * 4 + channel``, where ``blocks[c]`` holds
+    ps times of channel byte ``c``.
 
     Keys order events by time and, at equal times, by channel byte; ``key >> 2``
     is the time and ``key & 3`` the channel. A time with |t| >= 2**61 ps does
@@ -201,7 +203,7 @@ def pack_keys(blocks, channels=range(4)) -> np.ndarray:
     """
     keys = np.empty(sum(len(times) for times in blocks), np.int64)
     end = 0
-    for channel, times in zip(channels, blocks):
+    for channel, times in enumerate(blocks):
         begin, end = end, end + len(times)
         pack_into(keys[begin:end], times, channel)
     keys.sort()

@@ -55,6 +55,12 @@ class ChshSettings:
             (self.delta1_prime, self.delta2_prime),
         )
 
+    @staticmethod
+    def combine(e):
+        """CHSH combination |E(a,b) - E(a,b')| + E(a',b) + E(a',b') of four
+        correlations in :meth:`pairs` order; scalars stay Python floats."""
+        return abs(e[0] - e[1]) + e[2] + e[3]
+
 
 #: Settings for which the ideal model attains S = 2*sqrt(2)*V.
 STANDARD_SETTINGS = ChshSettings(
@@ -103,10 +109,7 @@ def chsh_s(settings: ChshSettings, vis: float) -> float:
     With :data:`STANDARD_SETTINGS` this equals 2*sqrt(2)*vis.
     """
     _check_visibility(vis)
-    e_ab, e_abp, e_apb, e_apbp = (
-        correlation(d1, d2, vis) for (d1, d2) in settings.pairs()
-    )
-    return abs(e_ab - e_abp) + e_apb + e_apbp
+    return settings.combine([correlation(d1, d2, vis) for (d1, d2) in settings.pairs()])
 
 
 def min_violating_visibility() -> float:
@@ -129,10 +132,7 @@ def lhv_correlation(d1, d2):
 
 def lhv_chsh_s(settings: ChshSettings):
     """CHSH combination evaluated with the classical sawtooth correlation."""
-    e_ab, e_abp, e_apb, e_apbp = (
-        lhv_correlation(d1, d2) for (d1, d2) in settings.pairs()
-    )
-    return np.abs(e_ab - e_abp) + e_apb + e_apbp
+    return settings.combine([lhv_correlation(d1, d2) for (d1, d2) in settings.pairs()])
 
 
 def lhv_sample_outcomes(d1: float, d2: float, n: int, rng: np.random.Generator):

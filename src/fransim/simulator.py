@@ -130,13 +130,19 @@ def _slice_keys(config: ExperimentConfig, d1: float, d2: float, t0_ps: int, dur:
     return keys
 
 
-def _check_span_end(first_slice: int, duration: float) -> None:
-    """Raise ``ValueError`` if a span from slice ``first_slice`` lasting
-    ``duration`` seconds ends past the packable time range (2**61 ps)."""
+def _slice_durations(first_slice: int, duration: float) -> list[float]:
+    """Durations of the 1 s slices of a span from slice ``first_slice``
+    lasting ``duration`` seconds, the last one possibly shorter. Raises
+    ``ValueError`` unless ``duration > 0`` and the span ends within the
+    packable time range (2**61 ps)."""
+    if duration <= 0:
+        raise ValueError(f"duration must be > 0, got {duration}")
     end_ps = first_slice * SLICE_PS + round(duration / PS)
     if end_ps > PACK_LIMIT_PS:
         raise ValueError(f"the span ends at {end_ps} ps, past the {PACK_LIMIT_PS} ps "
                          f"(about 26.7 days) that event keys can hold")
+    n_slices = max(1, int(math.ceil(duration / SLICE_SECONDS)))
+    return [min(SLICE_SECONDS, duration - n * SLICE_SECONDS) for n in range(n_slices)]
 
 
 def emit_event_stream(config: ExperimentConfig, d1: float, d2: float, duration: float,
@@ -154,26 +160,20 @@ def emit_event_stream(config: ExperimentConfig, d1: float, d2: float, duration: 
     an int64 ``out`` large enough for the slice receives its keys and the
     stream's keys are a view of it; a smaller one is replaced by a new array.
     """
-    if duration <= 0:
-        raise ValueError(f"duration must be > 0, got {duration}")
     first, rest = divmod(start, SLICE_SECONDS)
     if not start >= 0 or rest:
         raise ValueError(f"start must be a non-negative whole number of "
                          f"{SLICE_SECONDS} s slices, got {start}")
-    _check_span_end(int(first), duration)
+    durations = _slice_durations(int(first), duration)
     validate_config(config)
-    n_slices = max(1, int(math.ceil(duration / SLICE_SECONDS)))
-    if out is not None and (n_slices > 1 or out.dtype != np.int64):
-        raise ValueError(f"out takes the int64 keys of one slice, got {n_slices} of {out.dtype}")
+    if out is not None and (len(durations) > 1 or out.dtype != np.int64):
+        raise ValueError(f"out takes the int64 keys of one slice, "
+                         f"got {len(durations)} of {out.dtype}")
 
-    slices = []
-    for n in range(n_slices):
-        k = int(first) + n
-        dur = min(SLICE_SECONDS, duration - n * SLICE_SECONDS)
-        slices.append(_slice_keys(config, d1, d2, k * SLICE_PS, dur,
-                                  np.random.default_rng([seed, k]), out))
+    slices = [_slice_keys(config, d1, d2, k * SLICE_PS, dur, np.random.default_rng([seed, k]), out)
+              for k, dur in enumerate(durations, int(first))]
     keys = slices[0]
-    if n_slices > 1:
+    if len(slices) > 1:
         keys = np.concatenate(slices)
         del slices
         keys.sort(kind="stable")  # a merge of the sorted slice runs
@@ -192,20 +192,18 @@ def simulate_setting(config: ExperimentConfig, d1: float, d2: float,
     :func:`fransim.events.window_coincidences`, pairs reaching back by the same
     walk on the carried keys and the slice's head (its events within the
     window's reach of the last carried one). The carry keeps the events at or
-    past ``t0 - margin + min(lo, 0)`` of the next slice, where ``margin`` is
-    the window reach (half-width + |center_offset|) plus ``JITTER_SIGMAS`` of
-    the larger detector jitter and [lo, hi] is the window on dt.
+    past ``t0 - margin - reach`` of the next slice, where ``reach`` is the
+    window reach (half-width + |center_offset|) and ``margin`` is ``reach``
+    plus ``JITTER_SIGMAS`` of the larger detector jitter.
 
-    That is exact because each slice is checked to emit no start before its
-    ``t0 - margin`` and no stop before ``t0 - margin + max(hi, 0)``; a
-    violation raises ``RuntimeError``. Counts and singles equal
-    ``window_coincidences`` on the whole-run :func:`emit_event_stream`
-    record, and the accidental estimate comes once from the singles totals,
-    the estimator the whole-stream path uses.
+    That is exact because each slice is checked, on its first key, to emit
+    no event before its ``t0 - margin``, and the partner of any of its
+    events lies within ``reach``; a violation raises ``RuntimeError``.
+    Counts and singles equal ``window_coincidences`` on the whole-run
+    :func:`emit_event_stream` record, and the accidental estimate comes once
+    from the singles totals, the estimator the whole-stream path uses.
     """
-    if duration <= 0:
-        raise ValueError(f"duration must be > 0, got {duration}")
-    _check_span_end(0, duration)
+    durations = _slice_durations(0, duration)
     validate_config(config)
     lo, hi = window_edges_ps(config.tphc)
     reach = max(-lo, hi)
@@ -216,13 +214,11 @@ def simulate_setting(config: ExperimentConfig, d1: float, d2: float,
     carry = np.empty(0, np.int64)  # sorted keys of earlier events a later slice may reach
     coinc = np.zeros(len(OUTCOMES), np.int64)
     singles_start = singles_stop = 0
-    n_slices = max(1, int(math.ceil(duration / SLICE_SECONDS)))
     buffers = [None, None]  # the key buffer of each thread's last slice
 
     def make(k):
-        t0 = k * SLICE_SECONDS
-        part = emit_event_stream(config, d1, d2, min(SLICE_SECONDS, duration - t0), seed,
-                                 start=t0, out=buffers[k % 2])
+        part = emit_event_stream(config, d1, d2, durations[k], seed,
+                                 start=k * SLICE_SECONDS, out=buffers[k % 2])
         buffers[k % 2] = part.keys.base
         return part
 
@@ -230,13 +226,10 @@ def simulate_setting(config: ExperimentConfig, d1: float, d2: float,
         nonlocal carry, coinc, singles_start, singles_stop
         keys = part.keys
         floor = k * SLICE_PS - margin
-        early = keys[:np.searchsorted(keys, 4 * (floor + max(hi, 0)))]
-        late = early[(early >> 2) < floor + (early & 1) * max(hi, 0)]  # stops: max(hi, 0) later
-        if len(late):
+        if len(keys) and keys[0] >> 2 < floor:
             raise RuntimeError(
-                f"slice {k} emitted a {CHANNEL_PORTS[late[0] & 3]} event at {late[0] >> 2} ps, "
-                f"before its {floor + (late[0] & 1) * max(hi, 0)} ps floor: the {margin} ps "
-                f"stream margin is too small")
+                f"slice {k} emitted a {CHANNEL_PORTS[keys[0] & 3]} event at {keys[0] >> 2} ps, "
+                f"before its {floor} ps floor: the {margin} ps stream margin is too small")
         counted = window_coincidences(part, config.tphc)
         coinc += [counted.coincidences[outcome] for outcome in OUTCOMES]
         singles_start += counted.singles_start
@@ -245,14 +238,14 @@ def simulate_setting(config: ExperimentConfig, d1: float, d2: float,
             reachable = (carry[-1] >> 2) + reach
             head = keys[:np.searchsorted(keys, 4 * (reachable + 1))]
             coinc += _carried_pairs(carry, head, lo, hi)
-        bound = 4 * ((k + 1) * SLICE_PS - margin + min(lo, 0))
+        bound = 4 * ((k + 1) * SLICE_PS - margin - reach)
         carry = np.sort(np.concatenate([carry[np.searchsorted(carry, bound):],
                                         keys[np.searchsorted(keys, bound):]]))
 
     # A one-slice setting submits nothing, so it starts no thread.
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="fransim-slice") as worker:
-        for k in range(0, n_slices, 2):
-            ahead = worker.submit(make, k + 1) if k + 1 < n_slices else None
+        for k in range(0, len(durations), 2):
+            ahead = worker.submit(make, k + 1) if k + 1 < len(durations) else None
             count(k, make(k))
             if ahead is not None:
                 count(k + 1, ahead.result())

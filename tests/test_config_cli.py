@@ -179,6 +179,12 @@ class TestCli:
         assert rc == 2
         assert "analyzer1.path_delay: must be > 0 and fit in one" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["scan", "lhv"])
+    def test_negative_seed_names_the_key(self, command, tmp_path, capsys):
+        rc = main([command, "--seed", "-1", "--out", str(tmp_path / "x.txt")])
+        assert rc == 2
+        assert "seed: must be a non-negative integer" in capsys.readouterr().err
+
     def test_lhv_command_respects_bound(self, tmp_path):
         out = tmp_path / "lhv.txt"
         rc = main(["lhv", "--quiet", "--pairs", "100000", "--seed", "5",

@@ -342,9 +342,11 @@ class TestEventStream:
         path = tmp_path / "events.frsn"
         stream.write(path)
         assert path.stat().st_size == 5 + 9 * 12
-        path.write_bytes(path.read_bytes()[:-4])
-        with pytest.raises(ValueError, match="events.frsn: truncated"):
-            EventStream.read(path, duration=1.0)
+        whole = path.read_bytes()
+        for cut in (-4, 4):  # a partial last record; the magic alone
+            path.write_bytes(whole[:cut])
+            with pytest.raises(ValueError, match="events.frsn: truncated"):
+                EventStream.read(path, duration=1.0)
 
     def test_unknown_channel_byte_is_rejected(self):
         records = np.zeros(3, dtype=RECORD_DTYPE)
@@ -439,15 +441,20 @@ class TestStreamingSlices:
         # Hand-made slices crowd events around each boundary. Like real ones,
         # a slice's starts lie at or past its start and its stops may lead it
         # by a negative center offset (jitter is off, so that is the whole lead).
+        # Either side may also lead it by up to the margin, reach + 1 ps
+        # without jitter, the floor simulate_setting checks.
         tphc = TphcParams(window_width=2 * half * PS, center_offset=center * PS)
         cfg = replace(clean_config(), tphc=tphc)
+        margin = half + abs(center) + 1
         offsets = st.lists(st.integers(0, 3000), max_size=5)
+        leads = st.lists(st.integers(1, margin), max_size=3)
         slices = []
         for k in range(n_slices):
             ports = {}
             for name in PORTS:
                 floor = k * SLICE_PS + (min(center, 0) if name.startswith("stop") else 0)
                 times = [floor + off for off in data.draw(offsets)]
+                times += [k * SLICE_PS - lead for lead in data.draw(leads)]
                 times += [(k + 1) * SLICE_PS - 1500 + off for off in data.draw(offsets)]
                 ports[name] = np.sort(np.array(times, dtype=np.int64))
             slices.append(ports)
@@ -463,16 +470,18 @@ class TestStreamingSlices:
 
     def test_event_before_the_margin_raises(self, monkeypatch):
         real_emit = simulator.emit_event_stream
+        for port in ("start_plus", "stop_minus"):  # one floor for both sides
 
-        def early_emit(config, d1, d2, duration, seed, *, start=0.0, **kwargs):
-            stream = real_emit(config, d1, d2, duration, seed, start=start)
-            if start == 1.0:  # one start 1 us before the slice opens
-                stream.start_plus = np.concatenate([[SLICE_PS - 10**6], stream.start_plus])
-            return stream
+            def early_emit(config, d1, d2, duration, seed, *, start=0.0, **kwargs):
+                stream = real_emit(config, d1, d2, duration, seed, start=start)
+                if start == 1.0:  # one event 1 us before the slice opens
+                    early = np.concatenate([[SLICE_PS - 10**6], getattr(stream, port)])
+                    setattr(stream, port, early)
+                return stream
 
-        monkeypatch.setattr(simulator, "emit_event_stream", early_emit)
-        with pytest.raises(RuntimeError, match="slice 1 emitted a start_plus event"):
-            simulate_setting(clean_config(pair_rate=1e4), 0.0, 0.0, 2.0, 1)
+            monkeypatch.setattr(simulator, "emit_event_stream", early_emit)
+            with pytest.raises(RuntimeError, match=f"slice 1 emitted a {port} event"):
+                simulate_setting(clean_config(pair_rate=1e4), 0.0, 0.0, 2.0, 1)
 
     def test_run_ending_past_the_packing_limit_rejected(self, monkeypatch):
         class Emitted(Exception):
