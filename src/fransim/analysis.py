@@ -9,7 +9,6 @@ from dataclasses import asdict, dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from . import quantum
 from .config import ExperimentConfig, config_hash
@@ -119,6 +118,80 @@ def _sine(x, mean, vis, phase0, period):
     return mean * (1.0 + vis * np.cos(2.0 * np.pi * x / period + phase0))
 
 
+def _sine_jac(x, mean, vis, phase0, period):
+    """Columns d_sine/d(mean, vis, phase0, period)."""
+    k = 2.0 * np.pi * x / period
+    cos, sin = np.cos(k + phase0), np.sin(k + phase0)
+    return np.column_stack([1.0 + vis * cos, mean * cos, -mean * vis * sin,
+                            mean * vis * sin * k / period])
+
+
+_EPS = np.finfo(float).eps
+_XTOL = _FTOL = 1.49012e-8   # MINPACK's defaults, as scipy's curve_fit uses them
+_MAX_TRIALS = 1000
+
+
+def curve_fit(f, x, y, p0, sigma, jac):
+    """Weighted least squares of y ~ f(x, *p) by Levenberg-Marquardt.
+
+    Minimises sum(((y - f) / sigma)**2) from p0, with jac(x, *p) the Jacobian
+    of f. Each step solves the damped Gauss-Newton system through the SVD of
+    the weighted Jacobian with its columns scaled to unit norm (Marquardt's
+    diag(J'J) damping), so a period in metres and a level in counts are
+    treated alike. A step is taken only if it lowers the cost; the damping
+    then falls tenfold, and after a rejected step it grows tenfold.
+
+    Converged: an accepted step moved p by at most XTOL or lowered the cost by
+    at most FTOL, relative; a step was rejected while the linear model
+    predicted at most an FTOL relative drop (the rest is rounding); or the
+    residuals are at the rounding level of y.
+
+    Returns (popt, pcov), pcov being the covariance with sigma taken as
+    absolute (scipy's absolute_sigma=True), from the same scaled SVD with
+    singular values below eps * max(m, n) * s_max dropped, as curve_fit does.
+    Raises ValueError for non-finite input and RuntimeError when no step
+    lowers the cost or after _MAX_TRIALS trial steps.
+    """
+    x, y, sigma, p = (np.asarray(a, dtype=float) for a in (x, y, sigma, p0))
+    if not all(np.isfinite(a).all() for a in (x, y, sigma, p)):
+        raise ValueError("array must not contain infs or NaNs")
+    rounding_cost = (len(y) * _EPS) ** 2 * float((y / sigma) @ (y / sigma))
+
+    def residual(q):
+        r = (y - f(x, *q)) / sigma
+        return r, float(r @ r)
+
+    r, cost = residual(p)
+    lam, linearised, converged = 1e-3, False, False
+    for _ in range(_MAX_TRIALS):
+        if not linearised:
+            j = jac(x, *p) / sigma[:, None]
+            scale = np.linalg.norm(j, axis=0)
+            scale[scale == 0] = 1.0
+            u, s, vt = np.linalg.svd(j / scale, full_matrices=False)
+            ur, linearised = u.T @ r, True
+        if converged or cost <= rounding_cost:
+            break
+        z = vt.T @ (s * ur / (s * s + lam))
+        trial = p + z / scale
+        r_trial, cost_trial = residual(trial)
+        if cost_trial < cost:
+            converged = (np.linalg.norm(z) <= _XTOL * np.linalg.norm(scale * p)
+                         or cost - cost_trial <= _FTOL * cost)
+            p, r, cost, lam, linearised = trial, r_trial, cost_trial, lam / 10.0, False
+        elif ur @ ur <= _FTOL * cost:
+            break
+        elif np.array_equal(trial, p):
+            raise RuntimeError(f"no step lowers the cost {cost:.6g} at p = {p}")
+        else:
+            lam *= 10.0
+    else:
+        raise RuntimeError(f"no convergence in {_MAX_TRIALS} trial steps")
+    keep = s > _EPS * max(j.shape) * s[0]
+    cov = (vt[keep].T / s[keep] ** 2) @ vt[keep]
+    return p, cov / np.outer(scale, scale)
+
+
 def fit_fringe(points: Sequence[FringePoint],
                period_hint: Optional[float] = None) -> FringeFit:
     """Weighted nonlinear least squares of net = A*(1 + V*cos(2*pi*x/T + phi)).
@@ -161,8 +234,7 @@ def fit_fringe(points: Sequence[FringePoint],
     _, period, a, b, c = min(seeds, key=lambda seed: seed[0])
     p0 = (a, math.hypot(b, c) / a, math.atan2(-c, b), period)
     try:
-        popt, pcov = curve_fit(_sine, x, y, p0=p0, sigma=sigma,
-                               absolute_sigma=True, maxfev=20000)
+        popt, pcov = curve_fit(_sine, x, y, p0=p0, sigma=sigma, jac=_sine_jac)
     except RuntimeError as exc:
         raise FitError(f"sinusoid fit failed: {exc}") from exc
 
@@ -170,8 +242,7 @@ def fit_fringe(points: Sequence[FringePoint],
     accidentals = np.array([p.accidentals for p in points], dtype=float)
     model_sigma = np.sqrt(np.maximum(_sine(x, *popt) + accidentals, 1.0))
     try:
-        popt, pcov = curve_fit(_sine, x, y, p0=popt, sigma=model_sigma,
-                               absolute_sigma=True, maxfev=20000)
+        popt, pcov = curve_fit(_sine, x, y, p0=popt, sigma=model_sigma, jac=_sine_jac)
         sigma = model_sigma
     except RuntimeError:
         pass  # keep the raw-weighted solution

@@ -5,7 +5,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.special import erf
 
 from conftest import clean_config
 from fransim.analysis import (
@@ -101,7 +100,7 @@ def test_criterion_6_mc_matches_closed_form():
     sigma = fwhm_to_sigma(cfg.detector_stop.jitter_fwhm)
     # Closed window at 1 ps quantization: effective half-width 175.5 ps.
     half_width = cfg.tphc.window_width / 2 + 0.5e-12
-    acceptance = erf(half_width / (sigma * math.sqrt(2)))
+    acceptance = math.erf(half_width / (sigma * math.sqrt(2)))
 
     d1_grid = (0.2, 0.9, 1.7, 2.5)
     d2_grid = (0.1, 0.8, 1.9, 2.7)

@@ -193,6 +193,95 @@ class TestFitFringe:
         assert 0.65 <= np.mean(z <= 1) <= 0.71
         assert np.mean(z <= 3) >= 0.99
 
+    # Non-finite control reaches the seed's cos() first; its warning is not the
+    # failure under test, the ValueError is.
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("field", ["net", "control"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("period_hint", [352e-9, None])
+    def test_non_finite_input_is_rejected(self, field, bad, period_hint):
+        points = synthetic_points(100.0, 0.8, 352e-9, 0.7, np.linspace(0, 600e-9, 25))
+        points[3] = replace(points[3], **{field: bad})
+        with pytest.raises(ValueError):
+            fit_fringe(points, period_hint=period_hint)
+
+    @pytest.mark.parametrize("arg", ["x", "y", "sigma", "p0"])
+    def test_solver_rejects_non_finite_arrays(self, arg):
+        args = {"x": np.linspace(0, 600e-9, 25), "p0": np.array([100.0, 0.8, 0.7, 352e-9])}
+        args["y"] = analysis._sine(args["x"], *args["p0"])
+        args["sigma"] = np.sqrt(args["y"])
+        args[arg] = np.where(np.arange(args[arg].size) == 2, math.nan, args[arg])
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            analysis.curve_fit(analysis._sine, jac=analysis._sine_jac, **args)
+
+    def test_solver_starting_at_the_optimum_converges(self):
+        # Data computed in another order than _sine: the residuals are rounding,
+        # so no step can lower the cost and none is needed.
+        x = np.linspace(0, 600e-9, 25)
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            p = (rng.uniform(20, 500), rng.uniform(0.05, 1), rng.uniform(-3, 3),
+                 rng.uniform(200e-9, 900e-9))
+            y = p[0] + p[0] * p[1] * np.cos(p[2] + x * (2.0 * np.pi / p[3]))
+            popt, pcov = analysis.curve_fit(analysis._sine, x, y, p0=p, sigma=np.sqrt(y),
+                                            jac=analysis._sine_jac)
+            np.testing.assert_allclose(popt, p, rtol=1e-12)
+            assert np.all(np.isfinite(pcov)) and np.all(np.diag(pcov) > 0)
+
+    def test_solver_restarted_at_its_solution_stays_there(self):
+        # At a noisy minimum the last Gauss-Newton gain is below the rounding
+        # of the cost, so a trial step may fail to lower it: that is converged.
+        x = np.linspace(0, 600e-9, 25)
+        rng = np.random.default_rng(9)
+        for _ in range(100):
+            p = (2e4, 0.957, rng.uniform(-math.pi, math.pi), 352e-9)
+            y = rng.poisson(analysis._sine(x, *p))
+            sigma = np.sqrt(np.maximum(y, 1.0))
+            popt, pcov = analysis.curve_fit(analysis._sine, x, y, p0=p, sigma=sigma,
+                                            jac=analysis._sine_jac)
+            again, _ = analysis.curve_fit(analysis._sine, x, y, p0=popt, sigma=sigma,
+                                          jac=analysis._sine_jac)
+            assert np.all(np.abs(again - popt) <= 1e-3 * np.sqrt(np.diag(pcov)))
+
+    def test_no_descent_direction_raises_fit_error(self, monkeypatch):
+        # The model is finite only at the seed: no trial step lowers the cost.
+        sine, seen = analysis._sine, []
+
+        def finite_at_seed_only(x, *p):
+            seen.append(p)
+            return sine(x, *p) if p == seen[0] else np.full_like(x, np.inf)
+
+        monkeypatch.setattr(analysis, "_sine", finite_at_seed_only)
+        rng = np.random.default_rng(3)
+        points = synthetic_points(120.0, 0.9, 352e-9, 0.4, np.linspace(0, 600e-9, 25), rng)
+        with pytest.raises(analysis.FitError, match="no step lowers the cost"):
+            fit_fringe(points, period_hint=352e-9)
+
+    def test_agrees_with_scipy_curve_fit(self, monkeypatch):
+        # The reference is the scipy call fit_fringe made before it had its own
+        # solver: MINPACK with a forward-difference Jacobian.
+        from scipy.optimize import curve_fit as scipy_curve_fit
+
+        def reference(f, x, y, p0, sigma, jac):
+            return scipy_curve_fit(f, x, y, p0=p0, sigma=sigma, absolute_sigma=True,
+                                   maxfev=20000)
+
+        controls = np.linspace(0, 600e-9, 25)
+        period, acc = 352e-9, 66.6
+        rng = np.random.default_rng(31)
+        for n in range(240):
+            phase = rng.uniform(0, 2 * math.pi)
+            raw = rng.poisson(112.6 * (1 + 0.957 * np.cos(2 * np.pi * controls / period + phase))
+                              + acc)
+            points = [FringePoint(float(x), int(r), acc, r - acc) for x, r in zip(controls, raw)]
+            hint = period if n % 2 == 0 else None
+            ours = fit_fringe(points, period_hint=hint)
+            with monkeypatch.context() as m:
+                m.setattr(analysis, "curve_fit", reference)
+                theirs = fit_fringe(points, period_hint=hint)
+            assert ours.visibility == pytest.approx(theirs.visibility, abs=1e-6)
+            assert ours.visibility_sigma == pytest.approx(theirs.visibility_sigma, rel=1e-4)
+
 
 class TestScanFringe:
     def test_invalid_axis(self):
