@@ -33,12 +33,12 @@ __all__ = [
     "scan_fringe",
     "fit_fringe",
     "chsh_experiment",
-    "lhv_chsh_experiment",
     "significance_from_visibility",
     "build_histogram",
     "window_coincidences",
     "fringe_csv",
     "chsh_report_text",
+    "chsh_report_json",
 ]
 
 class FitError(RuntimeError):
@@ -96,8 +96,9 @@ def scan_fringe(config: ExperimentConfig, scan_axis: str,
         raise ValueError(f"unknown scan axis {scan_axis!r}")
     if len(points) < 5:
         raise ValueError(f"need at least 5 scan points, got {len(points)}")
-    if dwell <= 0:
-        raise ValueError(f"dwell must be > 0, got {dwell}")
+    bad = [x for x in points if not math.isfinite(x)]
+    if bad:
+        raise ValueError(f"scan points must be finite, got {bad[0]}")
     result = []
     for k, x in enumerate(points):
         if scan_axis == "mirror1":
@@ -209,6 +210,10 @@ def fit_fringe(points: Sequence[FringePoint],
         raise ValueError(f"need at least 5 points to fit, got {len(points)}")
     x = np.array([p.control for p in points], dtype=float)
     y = np.array([p.net for p in points], dtype=float)
+    bad = np.flatnonzero(~(np.isfinite(x) & np.isfinite(y)))
+    if len(bad):
+        raise ValueError(f"fit points must be finite, point {bad[0]} has "
+                         f"control {x[bad[0]]} and net {y[bad[0]]}")
     sigma = np.sqrt(np.maximum([p.raw_coincidences for p in points], 1.0))
 
     if np.allclose(y, y[0]):
@@ -302,16 +307,23 @@ def _counts_to_correlation(net: dict, raw: dict) -> Tuple[float, float]:
 
 def _single_port_correlation(net: dict) -> float:
     """Single-output estimator: E from the (+,+) rate alone, normalized by the
-    per-pairing mean level and relying on the symmetry R++ = R--, R+- = R-+."""
+    per-pairing mean level (> 0: :func:`_counts_to_correlation` rejects an
+    empty setting first) and relying on the symmetry R++ = R--, R+- = R-+."""
     mean_level = sum(net.values()) / 4.0
-    if mean_level <= 0:
-        raise UndefinedCorrelationError("no net coincidences in this setting")
     return net[(1, 1)] / mean_level - 1.0
 
 
-def _assemble_report(settings: ChshSettings, per_setting, sampler: str) -> ChshReport:
+def chsh_experiment(config: ExperimentConfig, settings: ChshSettings,
+                    dwell: float, law: str = "quantum") -> ChshReport:
+    """Run the four CHSH settings through the Monte Carlo engine, pairs following
+    the :data:`fransim.quantum.PAIR_LAWS` entry ``law`` (the report's ``sampler``),
+    and compute S with propagated Poisson errors from accidental-subtracted counts."""
     es, sigmas, singles = [], [], []
-    for net, raw in per_setting:
+    for k, (d1, d2) in enumerate(settings.pairs()):
+        summary = simulate_setting(config, d1, d2, dwell,
+                                   _point_seed(config.seed, 1000 + k), law=law)
+        raw = summary.coincidences
+        net = {key: raw[key] - summary.accidental_estimate for key in OUTCOMES}
         e, se = _counts_to_correlation(net, raw)
         es.append(e)
         sigmas.append(se)
@@ -327,41 +339,8 @@ def _assemble_report(settings: ChshSettings, per_setting, sampler: str) -> ChshR
         significance=(s - 2.0) / s_sigma if s_sigma > 0 else math.inf,
         single_port_correlations=singles,
         single_port_s=settings.combine(singles),
-        sampler=sampler,
+        sampler=law,
     )
-
-
-def chsh_experiment(config: ExperimentConfig, settings: ChshSettings,
-                    dwell: float) -> ChshReport:
-    """Run the four CHSH settings through the Monte Carlo engine and compute
-    S with propagated Poisson errors from accidental-subtracted counts."""
-    if dwell <= 0:
-        raise ValueError(f"dwell must be > 0, got {dwell}")
-    per_setting = []
-    for k, (d1, d2) in enumerate(settings.pairs()):
-        summary = simulate_setting(config, d1, d2, dwell,
-                                   _point_seed(config.seed, 1000 + k))
-        acc = summary.accidental_estimate
-        raw = dict(summary.coincidences)
-        net = {key: raw[key] - acc for key in OUTCOMES}
-        per_setting.append((net, raw))
-    return _assemble_report(settings, per_setting, sampler="quantum")
-
-
-def lhv_chsh_experiment(settings: ChshSettings, pairs_per_setting: int,
-                        seed: int) -> ChshReport:
-    """Same report, but with outcomes drawn from the classical local strategy
-    instead of the interference law; S stays at or below 2."""
-    if pairs_per_setting <= 0:
-        raise ValueError("pairs_per_setting must be > 0")
-    per_setting = []
-    for k, (d1, d2) in enumerate(settings.pairs()):
-        rng = np.random.default_rng([seed, 2000 + k])
-        a, b = quantum.lhv_sample_outcomes(d1, d2, pairs_per_setting, rng)
-        counts = {(i, j): int(np.count_nonzero((a == i) & (b == j)))
-                  for (i, j) in OUTCOMES}
-        per_setting.append((dict(counts), dict(counts)))
-    return _assemble_report(settings, per_setting, sampler="lhv")
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from .analysis import (
     chsh_report_text,
     fit_fringe,
     fringe_csv,
-    lhv_chsh_experiment,
     scan_fringe,
     significance_from_visibility,
 )
@@ -94,17 +93,9 @@ def cmd_scan(args) -> int:
 
 def cmd_chsh(args) -> int:
     cfg = _load(args)
-    report = chsh_experiment(cfg, STANDARD_SETTINGS, args.dwell)
-    _save(args, cfg, "chsh", chsh_report_text(report), chsh_report_json(report),
+    report = chsh_experiment(cfg, STANDARD_SETTINGS, args.dwell, law=args.law)
+    _save(args, cfg, args.command, chsh_report_text(report), chsh_report_json(report),
           dwell=args.dwell)
-    return 0
-
-
-def cmd_lhv(args) -> int:
-    cfg = _load(args)
-    report = lhv_chsh_experiment(STANDARD_SETTINGS, args.pairs, cfg.seed)
-    _save(args, cfg, "lhv", chsh_report_text(report), chsh_report_json(report),
-          pairs=args.pairs)
     return 0
 
 
@@ -166,17 +157,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axis", choices=("mirror1", "phase2"), default="mirror1")
     p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("chsh", help="four-setting CHSH run")
-    common(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_chsh)
-
-    p = sub.add_parser("lhv", help="CHSH with the classical local sampler")
-    common(p)
-    p.add_argument("--out", required=True)
-    p.add_argument("--pairs", type=int, default=1_000_000,
-                   help="samples per setting")
-    p.set_defaults(func=cmd_lhv)
+    for name, law, about in (("chsh", "quantum", "four-setting CHSH run"),
+                             ("lhv", "lhv", "four-setting CHSH run with the local pair law")):
+        p = sub.add_parser(name, help=about)
+        common(p)
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=cmd_chsh, law=law)
 
     p = sub.add_parser("reproduce-paper",
                        help="fringe scan + fit + significance vs published values")

@@ -1,5 +1,5 @@
-"""Closed-form two-photon interference model, CHSH quantities and a classical
-(local hidden variable) reference strategy.
+"""Closed-form two-photon interference model, CHSH quantities, a classical
+(local hidden variable) reference strategy and the pair laws the engine samples.
 
 Everything here is analytic; the Monte Carlo engine in :mod:`fransim.simulator`
 is validated against these functions.
@@ -135,13 +135,27 @@ def lhv_chsh_s(settings: ChshSettings):
     return settings.combine([lhv_correlation(d1, d2) for (d1, d2) in settings.pairs()])
 
 
-def lhv_sample_outcomes(d1: float, d2: float, n: int, rng: np.random.Generator):
-    """Draw n outcome pairs from the classical strategy.
+# Cells of a pair detected on both sides. Bits: 3 start arm, 2 stop arm
+# (set = long), 1 start port, 0 stop port (set = the -1 port).
+_CELL = np.arange(16)
+_SAME_ARM = (_CELL >> 3) == (_CELL >> 2 & 1)
+_IJ = np.where((_CELL >> 1 & 1) == (_CELL & 1), 1, -1)
 
-    Returns two int arrays (a, b) with entries +1/-1. The empirical
-    correlation converges to :func:`lhv_correlation`.
-    """
-    lam = rng.uniform(0.0, TWO_PI, size=n)
-    a = np.where(np.cos(d1 + lam) >= 0.0, 1, -1)
-    b = np.where(np.cos(d2 - lam) >= 0.0, 1, -1)
-    return a, b
+
+def cell_law(d1: float, d2: float, vis: float) -> np.ndarray:
+    """Quantum law of the 16 cells of a pair detected on both sides: only
+    same-arm pairs, whose paths are indistinguishable, interfere, so
+    P = (1 + [same arm]·i·j·vis·cos(d1 + d2)) / 16."""
+    _check_visibility(vis)
+    return (1 + _SAME_ARM * _IJ * vis * math.cos(d1 + d2)) / 16
+
+
+def lhv_cell_law(d1: float, d2: float, vis: float) -> np.ndarray:
+    """Local law of the 16 cells: P = (1 + i·j·E) / 16 in each, E being
+    :func:`lhv_correlation`; the arms do not depend on the hidden variable.
+    ``vis`` is unused: it keeps the signature of :func:`cell_law`."""
+    return (1 + _IJ * lhv_correlation(d1, d2)) / 16
+
+
+#: The pair laws by name: law(d1, d2, vis) -> the 16 cell probabilities.
+PAIR_LAWS = {"quantum": cell_law, "lhv": lhv_cell_law}

@@ -28,6 +28,7 @@ from .events import (
     window_coincidences,
     window_edges_ps,
 )
+from .quantum import PAIR_LAWS
 
 __all__ = [
     "fwhm_to_sigma",
@@ -62,7 +63,7 @@ def generate_dark_counts(rate: float, duration: float, rng: np.random.Generator,
     return rng.integers(t0_ps, t0_ps + max(1, round(duration / PS)), n)
 
 
-def _slice_keys(config: ExperimentConfig, d1: float, d2: float, t0_ps: int, dur: float,
+def _slice_keys(config: ExperimentConfig, probs: np.ndarray, t0_ps: int, dur: float,
                 rng: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
     """One time slice's events as sorted packed keys (see
     :func:`fransim.events.pack_keys`), a view of ``out`` if they fit in it.
@@ -70,8 +71,9 @@ def _slice_keys(config: ExperimentConfig, d1: float, d2: float, t0_ps: int, dur:
     Loss thins the split pairs independently on each side, so (colouring
     theorem) pairs detected on both sides and each side's one-sided events are
     independent Poisson streams. Only the first needs the joint law, one draw
-    from its 16 cells per pair; one-sided events take its marginals: a uniform
-    port and the long arm with prob. 1/2.
+    per pair from the 16 cell probabilities ``probs`` (see
+    :func:`fransim.quantum.cell_law`); one-sided events take its marginals,
+    which every pair law shares: a uniform port and the long arm with prob. 1/2.
     Times are drawn uniformly on the 1 ps grid of the slice, from ``t0_ps``;
     the path delay and the centre offset are rounded to whole ps, and so is
     the jitter. Each block is packed into one key array as it is drawn; without
@@ -96,19 +98,9 @@ def _slice_keys(config: ExperimentConfig, d1: float, d2: float, t0_ps: int, dur:
         pack_into(keys[end:end + len(times)], times, channel)
         end += len(times)
 
-    # Cell bits: 3 start arm, 2 stop arm (set = long), 1 start port, 0 stop
-    # port (set = the -1 port). Only pairs through a common arm, whose two
-    # paths are indistinguishable, interfere:
-    # P = (1 + [same arm]·i·j·V'·cos(d1 + d2)) / 16, where
-    # V' = V·exp(-(σ1² + σ2²)/2) is V averaged over each pair's white phase noise.
-    cell = np.arange(16)
-    same_arm = (cell >> 3) == (cell >> 2 & 1)
-    ij = np.where((cell >> 1 & 1) == (cell & 1), 1, -1)
-    vis = config.visibility * math.exp(-(config.analyzer1.phase_noise_sigma ** 2
-                                         + config.analyzer2.phase_noise_sigma ** 2) / 2)
     n_both = rng.poisson(split * eta1 * eta2)
     emission = rng.integers(t0_ps, end_ps, n_both)
-    cells = rng.choice(16, n_both, p=(1 + same_arm * ij * vis * math.cos(d1 + d2)) / 16)
+    cells = rng.choice(16, n_both, p=probs)  # bits: start arm, stop arm, start port, stop port
 
     for side, det, arm_bit, port_bit, mean_one, shift in (
             (0, config.detector_start, 3, 1, split * eta1 * (1.0 - eta2), 0),
@@ -133,10 +125,10 @@ def _slice_keys(config: ExperimentConfig, d1: float, d2: float, t0_ps: int, dur:
 def _slice_durations(first_slice: int, duration: float) -> list[float]:
     """Durations of the 1 s slices of a span from slice ``first_slice``
     lasting ``duration`` seconds, the last one possibly shorter. Raises
-    ``ValueError`` unless ``duration > 0`` and the span ends within the
-    packable time range (2**61 ps)."""
-    if duration <= 0:
-        raise ValueError(f"duration must be > 0, got {duration}")
+    ``ValueError`` unless ``duration`` is finite and > 0 and the span ends
+    within the packable time range (2**61 ps)."""
+    if not (math.isfinite(duration) and duration > 0):
+        raise ValueError(f"duration must be finite and > 0, got {duration}")
     end_ps = first_slice * SLICE_PS + round(duration / PS)
     if end_ps > PACK_LIMIT_PS:
         raise ValueError(f"the span ends at {end_ps} ps, past the {PACK_LIMIT_PS} ps "
@@ -146,8 +138,8 @@ def _slice_durations(first_slice: int, duration: float) -> list[float]:
 
 
 def emit_event_stream(config: ExperimentConfig, d1: float, d2: float, duration: float,
-                      seed: int, *, start: float = 0.0,
-                      out: np.ndarray | None = None) -> EventStream:
+                      seed: int, *, start: float = 0.0, out: np.ndarray | None = None,
+                      law: str = "quantum") -> EventStream:
     """Detection record of ``[start, start + duration)``, made by slices
     ``start / SLICE_SECONDS, ...`` of the run.
 
@@ -159,6 +151,8 @@ def emit_event_stream(config: ExperimentConfig, d1: float, d2: float, duration: 
     :func:`simulate_setting` exactly for the same seed. For a one-slice span,
     an int64 ``out`` large enough for the slice receives its keys and the
     stream's keys are a view of it; a smaller one is replaced by a new array.
+    ``law`` names the law of pairs detected on both sides in
+    :data:`fransim.quantum.PAIR_LAWS`.
     """
     first, rest = divmod(start, SLICE_SECONDS)
     if not start >= 0 or rest:
@@ -169,8 +163,14 @@ def emit_event_stream(config: ExperimentConfig, d1: float, d2: float, duration: 
     if out is not None and (len(durations) > 1 or out.dtype != np.int64):
         raise ValueError(f"out takes the int64 keys of one slice, "
                          f"got {len(durations)} of {out.dtype}")
+    if law not in PAIR_LAWS:
+        raise ValueError(f"unknown pair law {law!r}, expected one of {sorted(PAIR_LAWS)}")
+    # V' = V·exp(-(σ1² + σ2²)/2) is V averaged over each pair's white phase noise.
+    vis = config.visibility * math.exp(-(config.analyzer1.phase_noise_sigma ** 2
+                                         + config.analyzer2.phase_noise_sigma ** 2) / 2)
+    probs = PAIR_LAWS[law](d1, d2, vis)
 
-    slices = [_slice_keys(config, d1, d2, k * SLICE_PS, dur, np.random.default_rng([seed, k]), out)
+    slices = [_slice_keys(config, probs, k * SLICE_PS, dur, np.random.default_rng([seed, k]), out)
               for k, dur in enumerate(durations, int(first))]
     keys = slices[0]
     if len(slices) > 1:
@@ -181,8 +181,9 @@ def emit_event_stream(config: ExperimentConfig, d1: float, d2: float, duration: 
 
 
 def simulate_setting(config: ExperimentConfig, d1: float, d2: float,
-                     duration: float, seed: int) -> CountSummary:
-    """Simulate one phase setting and window-discriminate the coincidences.
+                     duration: float, seed: int, *, law: str = "quantum") -> CountSummary:
+    """Simulate one phase setting and window-discriminate the coincidences,
+    pairs detected on both sides following the pair law named ``law``.
 
     Each 1 s slice is made by :func:`emit_event_stream` and counted in order,
     so at most two slices are alive: a worker thread makes each odd slice
@@ -218,7 +219,7 @@ def simulate_setting(config: ExperimentConfig, d1: float, d2: float,
 
     def make(k):
         part = emit_event_stream(config, d1, d2, durations[k], seed,
-                                 start=k * SLICE_SECONDS, out=buffers[k % 2])
+                                 start=k * SLICE_SECONDS, out=buffers[k % 2], law=law)
         buffers[k % 2] = part.keys.base
         return part
 

@@ -12,7 +12,6 @@ from fransim.analysis import (
     build_histogram,
     chsh_experiment,
     fit_fringe,
-    lhv_chsh_experiment,
     scan_fringe,
     significance_from_visibility,
     window_coincidences,
@@ -193,17 +192,15 @@ class TestFitFringe:
         assert 0.65 <= np.mean(z <= 1) <= 0.71
         assert np.mean(z <= 3) >= 0.99
 
-    # Non-finite control reaches the seed's cos() first; its warning is not the
-    # failure under test, the ValueError is.
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("field", ["net", "control"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("period_hint", [352e-9, None])
-    def test_non_finite_input_is_rejected(self, field, bad, period_hint):
+    def test_non_finite_input_is_rejected(self, field, bad, period_hint, capfd):
         points = synthetic_points(100.0, 0.8, 352e-9, 0.7, np.linspace(0, 600e-9, 25))
         points[3] = replace(points[3], **{field: bad})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"point 3 has .*{field} {bad}"):
             fit_fringe(points, period_hint=period_hint)
+        assert capfd.readouterr().err == ""
 
     @pytest.mark.parametrize("arg", ["x", "y", "sigma", "p0"])
     def test_solver_rejects_non_finite_arrays(self, arg):
@@ -292,6 +289,14 @@ class TestScanFringe:
         with pytest.raises(ValueError):
             scan_fringe(default_config(), "mirror1", [0.0, 1e-9], 1.0)
 
+    @pytest.mark.parametrize("axis", ["mirror1", "phase2"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_point_is_rejected(self, axis, bad, capfd):
+        points = [0.0, 1e-7, bad, 3e-7, 4e-7]
+        with pytest.raises(ValueError, match=f"scan points must be finite, got {bad}"):
+            scan_fringe(clean_config(), axis, points, 1.0)
+        assert capfd.readouterr().err == ""
+
     def test_zero_visibility_scan_is_flat(self):
         cfg = clean_config(pair_rate=5e4, visibility=0.0, seed=25)
         controls = np.linspace(0, 600e-9, 15)
@@ -348,16 +353,20 @@ class TestChshExperiment:
 
     def test_lhv_sampler_respects_bound(self):
         for seed in range(5):
-            report = lhv_chsh_experiment(STANDARD_SETTINGS, 200_000, seed)
+            cfg = clean_config(pair_rate=2e5, visibility=1.0, seed=seed)
+            report = chsh_experiment(cfg, STANDARD_SETTINGS, 1.0, law="lhv")
             assert report.s <= 2.0 + 5 * report.s_sigma
             assert report.sampler == "lhv"
 
     def test_empty_counts_error(self):
-        with pytest.raises(ValueError):
-            lhv_chsh_experiment(STANDARD_SETTINGS, 0, 1)
         cfg = clean_config(pair_rate=0.0, seed=32)
-        with pytest.raises(UndefinedCorrelationError):
-            chsh_experiment(cfg, STANDARD_SETTINGS, 1.0)
+        for law in ("quantum", "lhv"):
+            with pytest.raises(UndefinedCorrelationError):
+                chsh_experiment(cfg, STANDARD_SETTINGS, 1.0, law=law)
+
+    def test_unknown_law_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown pair law 'local'"):
+            chsh_experiment(clean_config(), STANDARD_SETTINGS, 1.0, law="local")
 
     def test_sigma_shrinks_with_dwell(self):
         cfg = clean_config(pair_rate=2e4, visibility=0.9, seed=33)
@@ -401,7 +410,8 @@ class TestSerialization:
         assert text.strip().endswith("1.0,12,1.0,11.0")
 
     def test_chsh_report_text_and_json(self):
-        report = lhv_chsh_experiment(STANDARD_SETTINGS, 50_000, 3)
+        report = chsh_experiment(clean_config(pair_rate=5e4, seed=3), STANDARD_SETTINGS,
+                                 0.5, law="lhv")
         text = analysis.chsh_report_text(report)
         assert "s = " in text and "sampler = lhv" in text
         if not report.violating:

@@ -187,11 +187,39 @@ class TestCli:
 
     def test_lhv_command_respects_bound(self, tmp_path):
         out = tmp_path / "lhv.txt"
-        rc = main(["lhv", "--quiet", "--pairs", "100000", "--seed", "5",
-                   "--out", str(out)])
+        rc = main(["lhv", "--quiet", "--dwell", "2", "--seed", "5", "--out", str(out)])
         assert rc == 0
         fields = dict(line.split(" = ") for line in out.read_text().splitlines())
+        assert fields["sampler"] == "lhv"
         assert float(fields["s"]) <= 2.0 + 5 * float(fields["s_sigma"])
+        assert "command = lhv" in (tmp_path / "lhv.txt.manifest").read_text()
+
+    def test_lhv_runs_at_the_configured_apparatus(self, tmp_path):
+        def run(name, dwell, config_text=""):
+            """The report text and its s_sigma."""
+            cfg, out = tmp_path / f"{name}.cfg", tmp_path / f"{name}.txt"
+            cfg.write_text(config_text)
+            rc = main(["lhv", "--quiet", "--seed", "5", "--config", str(cfg),
+                       "--dwell", dwell, "--out", str(out)])
+            assert rc == 0
+            text = out.read_text()
+            return text, float(dict(line.split(" = ") for line in text.splitlines())["s_sigma"])
+
+        short, sigma_short = run("short", "1")
+        long, sigma_long = run("long", "4")
+        assert short != long
+        assert 1.7 < sigma_short / sigma_long < 2.3  # sigma ~ 1/sqrt(dwell)
+        # A stop detector with 2 MHz of dark counts: the accidentals it adds
+        # to every pairing widen the error of the net correlations.
+        _, sigma_dark = run("dark", "1", "detector_stop.dark_rate = 2 MHz\n")
+        assert sigma_dark > 1.5 * sigma_short
+
+    @pytest.mark.parametrize("command", ["simulate", "scan", "chsh", "lhv"])
+    @pytest.mark.parametrize("dwell,shown", [("inf", "inf"), ("nan", "nan"), ("0", "0.0")])
+    def test_non_finite_dwell_is_rejected(self, command, dwell, shown, tmp_path, capsys):
+        rc = main([command, "--quiet", "--dwell", dwell, "--out", str(tmp_path / "x.txt")])
+        assert rc == 2
+        assert f"duration must be finite and > 0, got {shown}" in capsys.readouterr().err
 
     def test_reproduce_paper_prints_verdict_table(self, tmp_path, capsys):
         out = tmp_path / "repro.csv"

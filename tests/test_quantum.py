@@ -10,13 +10,15 @@ from fransim.quantum import (
     STANDARD_SETTINGS,
     ChshSettings,
     UndefinedCorrelationError,
+    PAIR_LAWS,
+    cell_law,
     chsh_s,
     coincidence_probability,
     correlation,
     correlation_from_rates,
     lhv_chsh_s,
+    lhv_cell_law,
     lhv_correlation,
-    lhv_sample_outcomes,
     min_violating_visibility,
     reduce_phase,
 )
@@ -144,14 +146,6 @@ class TestLhv:
     def test_standard_settings_saturate_classical_bound(self):
         assert lhv_chsh_s(STANDARD_SETTINGS) == pytest.approx(2.0, abs=1e-12)
 
-    def test_sampler_matches_sawtooth(self):
-        rng = np.random.default_rng(11)
-        for delta in (0.0, 0.7, math.pi / 4, 2.5, -1.3):
-            a, b = lhv_sample_outcomes(delta, 0.0, 1_000_000, rng)
-            got = float(np.mean(a * b))
-            # 5 sigma on the mean of a +-1 variable
-            assert abs(got - lhv_correlation(delta, 0.0)) < 5.5e-3
-
     def test_bound_on_settings_grid(self):
         # Offsets mirror the structure of the standard settings.
         a = np.linspace(0, 2 * math.pi, 360, endpoint=False)[:, None]
@@ -173,3 +167,54 @@ def test_reduce_phase_idempotent():
         r = reduce_phase(x)
         assert 0.0 <= r < 2 * math.pi
         assert reduce_phase(r) == pytest.approx(r, abs=1e-15)
+
+
+# Cell bits: 3 start arm, 2 stop arm (set = long), 1 start port, 0 stop port
+# (set = the -1 port).
+CELL = np.arange(16)
+START_ARM, STOP_ARM = CELL >> 3 & 1, CELL >> 2 & 1
+START_PORT, STOP_PORT = CELL >> 1 & 1, CELL & 1
+SIGN = {1: 0, -1: 1}  # port sign -> port bit
+phases = st.floats(-50, 50)
+
+
+class TestPairLaws:
+    @pytest.mark.parametrize("name", sorted(PAIR_LAWS))
+    @given(phases, phases, st.floats(0, 1))
+    def test_cells_are_a_distribution(self, name, d1, d2, vis):
+        p = PAIR_LAWS[name](d1, d2, vis)
+        assert p.shape == (16,)
+        assert np.all(p >= 0)
+        assert p.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(PAIR_LAWS))
+    @given(phases, phases, st.floats(0, 1))
+    def test_per_side_marginals_are_uniform(self, name, d1, d2, vis):
+        # One-sided events are drawn from these marginals, so every law must
+        # give a uniform port and the long arm with probability 1/2 per side.
+        p = PAIR_LAWS[name](d1, d2, vis)
+        for bit in (START_ARM, STOP_ARM, START_PORT, STOP_PORT):
+            assert p[bit == 1].sum() == pytest.approx(0.5, abs=1e-12)
+
+    @given(phases, phases, st.floats(0, 1))
+    def test_same_arm_cells_add_up_to_coincidence_probability(self, d1, d2, vis):
+        p = cell_law(d1, d2, vis)
+        same_arm = START_ARM == STOP_ARM
+        for i in (1, -1):
+            for j in (1, -1):
+                cells = same_arm & (START_PORT == SIGN[i]) & (STOP_PORT == SIGN[j])
+                assert p[cells].sum() == pytest.approx(
+                    coincidence_probability(i, j, d1, d2, vis), abs=1e-15)
+
+    @given(phases, phases, st.floats(0, 1))
+    def test_local_law_correlation_is_the_sawtooth_in_each_arm_pair(self, d1, d2, vis):
+        p = lhv_cell_law(d1, d2, vis)
+        ij = np.where(START_PORT == STOP_PORT, 1, -1)
+        for arms in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            cells = (START_ARM == arms[0]) & (STOP_ARM == arms[1])
+            e = (ij[cells] * p[cells]).sum() / p[cells].sum()
+            assert e == pytest.approx(lhv_correlation(d1, d2), abs=1e-12)
+
+    def test_quantum_law_rejects_a_visibility_past_one(self):
+        with pytest.raises(ValueError, match="visibility"):
+            cell_law(0.0, 0.0, 1.2)
