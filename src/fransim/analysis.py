@@ -21,7 +21,7 @@ from .events import (  # noqa: F401  (re-exported analysis surface)
     build_histogram,
     window_coincidences,
 )
-from .quantum import ChshSettings, UndefinedCorrelationError, correlation_from_rates
+from .quantum import ChshSettings, UndefinedCorrelationError
 from .simulator import simulate_setting
 
 __all__ = [
@@ -293,13 +293,16 @@ class ChshReport:
 def _counts_to_correlation(net: dict, raw: dict) -> Tuple[float, float]:
     """E and its Poisson standard error from net counts keyed by (i, j).
 
-    The variance of each net count is taken from the raw count (accidental
-    subtraction adds variance, so raw is the conservative Poisson scale).
+    E = (N++ - N+- - N-+ + N--) / sum N on the net counts themselves: a net
+    count is unbiased and may be negative where the accidentals exceed a
+    pairing's raw count, so E may then leave [-1, 1]. The variance of each
+    net count is taken from the raw count (accidental subtraction adds
+    variance, so raw is the conservative Poisson scale).
     """
     total = sum(net.values())
     if total <= 0:
         raise UndefinedCorrelationError("no net coincidences in this setting")
-    e = correlation_from_rates(net[(1, 1)], net[(1, -1)], net[(-1, 1)], net[(-1, -1)])
+    e = sum(i * j * net[(i, j)] for (i, j) in OUTCOMES) / total
     var = sum(((i * j - e) / total) ** 2 * max(raw[(i, j)], 1.0)
               for (i, j) in OUTCOMES)
     return e, math.sqrt(var)

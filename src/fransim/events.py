@@ -9,6 +9,7 @@ that can pair are the ones whose neighbours lie within the window's reach.
 """
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
@@ -37,6 +38,10 @@ PACK_LIMIT_PS = 2**61
 OUTCOMES: Tuple[Tuple[int, int], ...] = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 RECORD_DTYPE = np.dtype([("channel", "u1"), ("time_ps", "<u8")])
+
+# Long key arrays are scanned, and FRSN records read and written, this many
+# at a time, so temporaries and buffers stay small next to a whole run's keys.
+_CHUNK = 1 << 16
 
 
 def _port(channel: int) -> property:
@@ -77,43 +82,40 @@ class EventStream:
 
     def to_records(self) -> np.ndarray:
         """Structured array of (channel, time_ps) records, ordered by time and,
-        at equal times, by channel byte.
-
-        ``time_ps`` holds the signed time in two's complement, so its 8 bytes
-        are a little-endian signed integer and a negative time (possible from
-        jitter near t = 0) reads back unchanged.
-        """
-        rec = np.empty(len(self.keys), dtype=RECORD_DTYPE)
-        np.bitwise_and(self.keys, 3, out=rec["channel"], casting="unsafe")
-        np.right_shift(self.keys, 2, out=rec["time_ps"], casting="unsafe")
-        return rec
+        at equal times, by channel byte (see :func:`_encode`)."""
+        records = np.empty(len(self.keys), dtype=RECORD_DTYPE)
+        _encode(self.keys, records)
+        return records
 
     @classmethod
     def from_records(cls, records: np.ndarray, duration: float) -> "EventStream":
-        """The stream of (channel, time_ps) records.
-
-        The keys are sorted once. Timsort finds records already in (time,
-        channel) order in one pass; files written before that order hold ties
-        in channel order (0, 2, 1, 3).
-        """
-        chan = records["channel"]
-        if chan.max(initial=0) > CH_STOP_MINUS:
-            raise ValueError(f"unknown channel byte {chan.max()} in the records")
-        keys = records["time_ps"].astype(np.int64)  # back from two's complement
-        _check_packable(keys, "in the records")
-        keys <<= 2
-        keys += chan
-        keys.sort(kind="stable")
+        """The stream of (channel, time_ps) records (see :func:`_decode`)."""
+        keys = np.empty(len(records), np.int64)
+        if not _decode(records, keys, 0, "in the records"):
+            keys.sort()
         return cls(duration, keys)
 
     def write(self, path) -> None:
+        """Write the FRSN v1 file: the magic, the version byte, then the
+        records, encoded :data:`_CHUNK` at a time into one reused buffer."""
+        buffer = np.empty(min(_CHUNK, len(self.keys)), dtype=RECORD_DTYPE)
         with open(path, "wb") as fh:
             fh.write(MAGIC)
             fh.write(bytes([FORMAT_VERSION]))
-            self.to_records().tofile(fh)
+            for begin in range(0, len(self.keys), _CHUNK):
+                keys = self.keys[begin:begin + _CHUNK]
+                _encode(keys, buffer[:len(keys)])
+                fh.write(buffer[:len(keys)])
 
     @classmethod
     def read(cls, path, duration: float) -> "EventStream":
+        """The stream of an FRSN v1 file.
+
+        The key array is sized from the file length, and the records are
+        read :data:`_CHUNK` at a time into one reused buffer and decoded
+        straight into it, so reading holds the keys and one chunk. The keys
+        are sorted only if one of them decreases.
+        """
         with open(path, "rb") as fh:
             header = fh.read(5)
             if header[:4] != MAGIC:
@@ -122,10 +124,55 @@ class EventStream:
                 raise ValueError(f"{path}: truncated, no format version byte")
             if header[4] != FORMAT_VERSION:
                 raise ValueError(f"{path}: unsupported format version {header[4]}")
-            data = fh.read()
-        if len(data) % RECORD_DTYPE.itemsize:
-            raise ValueError(f"{path}: truncated, {len(data)} record bytes is not a multiple of 9")
-        return cls.from_records(np.frombuffer(data, dtype=RECORD_DTYPE), duration)
+            size = os.fstat(fh.fileno()).st_size - len(header)
+            if size % RECORD_DTYPE.itemsize:
+                raise ValueError(f"{path}: truncated, {size} record bytes is not a multiple of 9")
+            keys = np.empty(size // RECORD_DTYPE.itemsize, np.int64)
+            buffer = np.empty(min(_CHUNK, len(keys)), dtype=RECORD_DTYPE)
+            in_order = True
+            for begin in range(0, len(keys), _CHUNK):
+                records = buffer[:min(_CHUNK, len(keys) - begin)]
+                got = fh.readinto(records)
+                if got != records.nbytes:
+                    raise ValueError(f"{path}: truncated while read, {begin * 9 + got} "
+                                     f"of {size} record bytes")
+                in_order &= _decode(records, keys, begin, f"in {path}")
+        if not in_order:
+            keys.sort()
+        return cls(duration, keys)
+
+
+def _encode(keys: np.ndarray, records: np.ndarray) -> None:
+    """Write the (channel, time_ps) records of ``keys`` into ``records``, a
+    :data:`RECORD_DTYPE` array of the same length.
+
+    ``time_ps`` holds the signed time in two's complement, so its 8 bytes are
+    a little-endian signed integer and a negative time (possible from jitter
+    near t = 0) reads back unchanged.
+    """
+    np.bitwise_and(keys, 3, out=records["channel"], casting="unsafe")
+    np.right_shift(keys, 2, out=records["time_ps"], casting="unsafe")
+
+
+def _decode(records: np.ndarray, keys: np.ndarray, begin: int, where: str) -> bool:
+    """Write the keys of ``records`` into ``keys[begin:begin + len(records)]``
+    and tell whether no key decreases from ``keys[begin - 1]`` on.
+
+    A channel byte above 3 or a time with |t| >= 2**61 ps raises
+    ``ValueError`` ending in ``where``. Records written before the (time,
+    channel) order hold ties in channel order (0, 2, 1, 3), so their keys
+    decrease; equal keys are indistinguishable, so any sort restores them.
+    """
+    chan = records["channel"]
+    if chan.max(initial=0) > CH_STOP_MINUS:
+        raise ValueError(f"unknown channel byte {chan.max()} {where}")
+    out = keys[begin:begin + len(records)]
+    np.copyto(out, records["time_ps"], casting="unsafe")  # back from two's complement
+    _check_packable(out, where)
+    out <<= 2
+    out += chan
+    run = keys[max(begin - 1, 0):begin + len(records)]
+    return not (run[1:] < run[:-1]).any()
 
 
 @dataclass
@@ -216,11 +263,6 @@ def pack_into(keys: np.ndarray, times: np.ndarray, channel: int) -> None:
     _check_packable(times, f"on channel {channel}")
     np.multiply(times, 4, out=keys)
     keys += channel
-
-
-# Long key arrays are scanned this many keys at a time, so a scan's
-# temporaries stay small next to a whole run's key array.
-_CHUNK = 1 << 16
 
 
 def pair_positions(keys: np.ndarray, lo_ps: int, hi_ps: int):

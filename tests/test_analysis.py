@@ -17,7 +17,7 @@ from fransim.analysis import (
     window_coincidences,
 )
 from fransim.config import TphcParams, default_config
-from fransim.events import EventStream
+from fransim.events import OUTCOMES, EventStream
 from fransim.quantum import STANDARD_SETTINGS, UndefinedCorrelationError
 from fransim.simulator import emit_event_stream
 
@@ -363,6 +363,15 @@ class TestChshExperiment:
         for law in ("quantum", "lhv"):
             with pytest.raises(UndefinedCorrelationError):
                 chsh_experiment(cfg, STANDARD_SETTINGS, 1.0, law=law)
+
+    def test_accidentals_above_a_raw_count_give_a_finite_correlation(self):
+        # Net counts of an `lhv` run at 20 MHz stop dark rate: one is negative.
+        accidentals = 40.3
+        net = dict(zip(OUTCOMES, (52.7, -18.3, 16.7, 49.7)))
+        raw = {key: n + accidentals for key, n in net.items()}
+        e, sigma = analysis._counts_to_correlation(net, raw)
+        assert e == pytest.approx((52.7 + 18.3 - 16.7 + 49.7) / 100.8)
+        assert math.isfinite(sigma) and sigma > 0
 
     def test_unknown_law_is_rejected(self):
         with pytest.raises(ValueError, match="unknown pair law 'local'"):

@@ -5,14 +5,19 @@ Small streams on a narrow integer-picosecond range make duplicate timestamps,
 ties across ports, empty ports and pairs exactly on the window and histogram
 edges common.
 """
+from unittest import mock
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import side_times
+from fransim import events
 from fransim.config import TphcParams
 from fransim.events import (
     CHANNEL_PORTS,
+    FORMAT_VERSION,
+    MAGIC,
     OUTCOMES,
     PS,
     EventStream,
@@ -67,16 +72,19 @@ def test_histogram_matches_double_loop(stream, range_ps, bin_ps):
 
 
 @settings(deadline=None)
-@given(stream=streams)
+@given(stream=streams, chunk=st.integers(1, 5))
 @example(stream=EventStream.from_ports(1.0, _ps(-5, 0, 0), _ps(0), _ps(-5, 0),
-                                       _ps(-5, 0, 9)))  # ties
-def test_records_round_trip(stream, tmp_path_factory):
+                                       _ps(-5, 0, 9)), chunk=2)  # ties
+def test_records_round_trip(stream, chunk, tmp_path_factory):
     records = stream.to_records()
     time = records["time_ps"].astype(np.int64)
     step, channel_step = np.diff(time), np.diff(records["channel"].astype(np.int64))
     assert np.all((step > 0) | ((step == 0) & (channel_step >= 0)))  # by (time, channel)
     path = tmp_path_factory.mktemp("frsn") / "events.frsn"
-    stream.write(path)
-    for back in (EventStream.from_records(records, 1.0), EventStream.read(path, 1.0)):
+    with mock.patch.object(events, "_CHUNK", chunk):  # FRSN I/O goes chunk by chunk
+        stream.write(path)
+        back = EventStream.read(path, 1.0)
+    assert path.read_bytes() == MAGIC + bytes([FORMAT_VERSION]) + records.tobytes()
+    for back in (EventStream.from_records(records, 1.0), back):
         for port in CHANNEL_PORTS:
             np.testing.assert_array_equal(getattr(back, port), getattr(stream, port))

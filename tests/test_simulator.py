@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 import sys
 import threading
@@ -14,11 +15,13 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from conftest import clean_config
-from fransim import simulator
+from fransim import events, simulator
 from fransim.config import ConfigError, DetectorParams, TphcParams, loads_config
 from fransim.events import (
     CH_START_PLUS,
     CH_STOP_PLUS,
+    FORMAT_VERSION,
+    MAGIC,
     OUTCOMES,
     PACK_LIMIT_PS,
     PS,
@@ -406,6 +409,76 @@ class TestEventStream:
             np.testing.assert_array_equal(getattr(stream, port), getattr(back, port))
         assert window_coincidences(back, cfg.tphc) == window_coincidences(stream, cfg.tphc)
 
+
+class TestChunkedRecords:
+    """FRSN files are written and read four records at a time here, so every
+    check meets chunk boundaries."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(events, "_CHUNK", 4)
+
+    _write_v1 = staticmethod(TestEventStream._write_v1)
+
+    @pytest.mark.parametrize("n", [0, 1, 4, 8, 23])
+    def test_round_trip_is_byte_identical(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        times = [np.sort(rng.integers(-5, 20, k)) for k in rng.multinomial(n, [0.25] * 4)]
+        stream = EventStream.from_ports(1.0, *times)
+        path = tmp_path / "events.frsn"
+        stream.write(path)
+        assert path.read_bytes() == MAGIC + bytes([FORMAT_VERSION]) + stream.to_records().tobytes()
+        np.testing.assert_array_equal(EventStream.read(path, 1.0).keys, stream.keys)
+
+    def test_old_tie_order_across_a_boundary_reads_back_sorted(self, tmp_path):
+        # The time-5 ties in (0, 2, 1, 3) order, split 0, 2 | 1, 3.
+        path = tmp_path / "old.frsn"
+        self._write_v1(path, [(0, 1), (1, 2), (0, 5), (2, 5), (1, 5), (3, 5), (0, 7), (1, 8)])
+        expected = EventStream.from_ports(1.0, _ps(1, 5, 7), _ps(5), _ps(2, 5, 8), _ps(5))
+        np.testing.assert_array_equal(EventStream.read(path, 1.0).keys, expected.keys)
+
+    def test_time_going_backwards_across_a_boundary_reads_back_sorted(self, tmp_path):
+        path = tmp_path / "backwards.frsn"
+        self._write_v1(path, [(0, 1), (1, 2), (0, 3), (1, 9), (0, 4), (1, 10)])
+        expected = EventStream.from_ports(1.0, _ps(1, 3, 4), _ps(), _ps(2, 9, 10), _ps())
+        np.testing.assert_array_equal(EventStream.read(path, 1.0).keys, expected.keys)
+
+    @pytest.mark.parametrize("bad, match", [((7, 20), "unknown channel byte 7"),
+                                            ((1, PACK_LIMIT_PS), "packable"),
+                                            ((1, -PACK_LIMIT_PS), "packable")])
+    def test_bad_record_in_a_later_chunk_names_the_file(self, tmp_path, bad, match):
+        path = tmp_path / "bad.frsn"
+        records = [(0, t) for t in range(9)]
+        self._write_v1(path, records + [bad] + records)
+        with pytest.raises(ValueError, match=f"{match}.*{re.escape(str(path))}"):
+            EventStream.read(path, 1.0)
+
+    def test_file_shrinking_while_read_is_truncated(self, tmp_path, monkeypatch):
+        path = tmp_path / "events.frsn"
+        EventStream.from_ports(1.0, _ps(*range(10)), _ps(), _ps(), _ps()).write(path)
+        size = path.stat().st_size
+        monkeypatch.setattr(events.os, "fstat", lambda fd: mock.Mock(st_size=size + 9 * 3))
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: truncated"):
+            EventStream.read(path, 1.0)
+
+
+def test_reading_holds_the_keys_and_a_few_chunks(tmp_path):
+    # The whole file's bytes on top of the keys would take 9n bytes more.
+    n = 1 << 20
+    stream = EventStream(1.0, np.arange(n, dtype=np.int64) * 3)
+    path = tmp_path / "events.frsn"
+    tracemalloc.start()
+    try:
+        stream.write(path)
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        back = EventStream.read(path, 1.0)
+        read_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(back.keys, stream.keys)
+    assert write_peak < 4e6, write_peak
+    assert read_peak < 8 * n + 4e6, read_peak
 
 class TestConfigValidationPath:
     def test_dead_time_stub_errors(self):
