@@ -28,6 +28,7 @@ __all__ = [
     "FringePoint",
     "FringeFit",
     "ChshReport",
+    "VIOLATION_SIGMAS",
     "FitError",
     "accidental_rate",
     "scan_fringe",
@@ -90,7 +91,8 @@ def scan_fringe(config: ExperimentConfig, scan_axis: str,
     sets d1 = analyzer1.phase + 4*pi*x/wavelength1 (double-pass Michelson).
     scan_axis 'phase2' drives the fiber-interferometer phase directly.
     Only the (+,+) port pairing is recorded, mirroring single-output
-    detection; accidentals are subtracted per point.
+    detection; accidentals are subtracted per point. So each setting makes
+    and counts the + ports alone, with the full run's counts of those.
     """
     if scan_axis not in ("mirror1", "phase2"):
         raise ValueError(f"unknown scan axis {scan_axis!r}")
@@ -107,7 +109,8 @@ def scan_fringe(config: ExperimentConfig, scan_axis: str,
         else:
             d1 = config.analyzer1.phase
             d2 = x
-        summary = simulate_setting(config, d1, d2, dwell, _point_seed(config.seed, k))
+        summary = simulate_setting(config, d1, d2, dwell, _point_seed(config.seed, k),
+                                   monitored_only=True)
         raw = summary.coincidences[(1, 1)]
         acc = summary.accidental_estimate
         result.append(FringePoint(control=float(x), raw_coincidences=raw,
@@ -273,6 +276,11 @@ def fit_fringe(points: Sequence[FringePoint],
 # ---------------------------------------------------------------------------
 # CHSH
 
+# A report is violating when S exceeds the local bound 2 by at least this
+# many of its standard errors, so that noise above 2 is not called a violation.
+VIOLATION_SIGMAS = 3.0
+
+
 @dataclass
 class ChshReport:
     settings: ChshSettings
@@ -287,7 +295,8 @@ class ChshReport:
 
     @property
     def violating(self) -> bool:
-        return self.s > 2.0
+        """S - 2 is at least :data:`VIOLATION_SIGMAS` standard errors."""
+        return self.significance >= VIOLATION_SIGMAS
 
 
 def _counts_to_correlation(net: dict, raw: dict) -> Tuple[float, float]:

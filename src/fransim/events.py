@@ -318,14 +318,17 @@ def window_coincidences(stream: EventStream, tphc: TphcParams,
             stacklevel=2,
         )
     keys = stream.keys
-    channels = np.bitwise_and(keys, 3, dtype=np.uint8, casting="unsafe")
+    singles_start = singles_stop = 0
+    for begin in range(0, len(keys), _CHUNK):  # a chunk's channels at a time
+        channels = np.bitwise_and(keys[begin:begin + _CHUNK], 3, dtype=np.uint8,
+                                  casting="unsafe")
+        singles_start += int(np.count_nonzero(channels == CH_START_PLUS))
+        singles_stop += int(np.count_nonzero(channels == CH_STOP_PLUS))
     coinc = dict.fromkeys(OUTCOMES, 0)
     if tphc.window_width > 0:
         counts = pairing_counts(keys, *pair_positions(keys, *window_edges_ps(tphc)))
         coinc = dict(zip(OUTCOMES, counts.tolist()))
-    return CountSummary.from_counts(stream.duration,
-                                    int(np.count_nonzero(channels == CH_START_PLUS)),
-                                    int(np.count_nonzero(channels == CH_STOP_PLUS)),
+    return CountSummary.from_counts(stream.duration, singles_start, singles_stop,
                                     coinc, tphc.window_width)
 
 

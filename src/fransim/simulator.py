@@ -64,7 +64,8 @@ def generate_dark_counts(rate: float, duration: float, rng: np.random.Generator,
 
 
 def _slice_keys(config: ExperimentConfig, probs: np.ndarray, t0_ps: int, dur: float,
-                rng: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
+                rng: np.random.Generator, out: np.ndarray | None = None, *,
+                monitored_only: bool = False) -> np.ndarray:
     """One time slice's events as sorted packed keys (see
     :func:`fransim.events.pack_keys`), a view of ``out`` if they fit in it.
 
@@ -79,6 +80,10 @@ def _slice_keys(config: ExperimentConfig, probs: np.ndarray, t0_ps: int, dur: fl
     the jitter. Each block is packed into one key array as it is drawn; without
     ``out`` that array is sized from the expected event count plus 9 of its
     standard deviations, and a block that does not fit grows it.
+
+    With ``monitored_only`` the blocks of the - ports (channels 2 and 3) are
+    still drawn, in the same order, but not packed: the keys are exactly the
+    + port keys of the full slice, ``full[(full & 2) == 0]``.
     """
     src = config.source
     end_ps = t0_ps + max(1, round(dur / PS))  # a sub-ps last slice keeps one grid point
@@ -88,11 +93,15 @@ def _slice_keys(config: ExperimentConfig, probs: np.ndarray, t0_ps: int, dur: fl
     eta2 = src.arm2_transmission * config.detector_stop.efficiency
     mean = split * (eta1 + eta2) + 2 * dur * (config.detector_start.dark_rate
                                               + config.detector_stop.dark_rate)
+    if monitored_only:
+        mean /= 2  # each side's events fall on its two ports alike
     keys = np.empty(math.ceil(mean + 9 * math.sqrt(mean)), np.int64) if out is None else out
     end = 0
 
     def put(times, channel):
         nonlocal keys, end
+        if monitored_only and channel & 2:
+            return
         if end + len(times) > len(keys):
             keys = np.concatenate([keys[:end], np.empty(max(len(times), len(keys)), np.int64)])
         pack_into(keys[end:end + len(times)], times, channel)
@@ -139,7 +148,7 @@ def _slice_durations(first_slice: int, duration: float) -> list[float]:
 
 def emit_event_stream(config: ExperimentConfig, d1: float, d2: float, duration: float,
                       seed: int, *, start: float = 0.0, out: np.ndarray | None = None,
-                      law: str = "quantum") -> EventStream:
+                      law: str = "quantum", monitored_only: bool = False) -> EventStream:
     """Detection record of ``[start, start + duration)``, made by slices
     ``start / SLICE_SECONDS, ...`` of the run.
 
@@ -152,7 +161,9 @@ def emit_event_stream(config: ExperimentConfig, d1: float, d2: float, duration: 
     an int64 ``out`` large enough for the slice receives its keys and the
     stream's keys are a view of it; a smaller one is replaced by a new array.
     ``law`` names the law of pairs detected on both sides in
-    :data:`fransim.quantum.PAIR_LAWS`.
+    :data:`fransim.quantum.PAIR_LAWS`. With ``monitored_only`` the record
+    holds the + ports alone: every event is still drawn, so it is exactly the
+    + subset of the full record of the same (config, seed).
     """
     first, rest = divmod(start, SLICE_SECONDS)
     if not start >= 0 or rest:
@@ -170,7 +181,8 @@ def emit_event_stream(config: ExperimentConfig, d1: float, d2: float, duration: 
                                          + config.analyzer2.phase_noise_sigma ** 2) / 2)
     probs = PAIR_LAWS[law](d1, d2, vis)
 
-    slices = [_slice_keys(config, probs, k * SLICE_PS, dur, np.random.default_rng([seed, k]), out)
+    slices = [_slice_keys(config, probs, k * SLICE_PS, dur, np.random.default_rng([seed, k]), out,
+                          monitored_only=monitored_only)
               for k, dur in enumerate(durations, int(first))]
     keys = slices[0]
     if len(slices) > 1:
@@ -181,7 +193,8 @@ def emit_event_stream(config: ExperimentConfig, d1: float, d2: float, duration: 
 
 
 def simulate_setting(config: ExperimentConfig, d1: float, d2: float,
-                     duration: float, seed: int, *, law: str = "quantum") -> CountSummary:
+                     duration: float, seed: int, *, law: str = "quantum",
+                     monitored_only: bool = False) -> CountSummary:
     """Simulate one phase setting and window-discriminate the coincidences,
     pairs detected on both sides following the pair law named ``law``.
 
@@ -203,6 +216,8 @@ def simulate_setting(config: ExperimentConfig, d1: float, d2: float,
     Counts and singles equal ``window_coincidences`` on the whole-run
     :func:`emit_event_stream` record, and the accidental estimate comes once
     from the singles totals, the estimator the whole-stream path uses.
+    With ``monitored_only`` only the + ports are made and counted (see
+    :func:`emit_event_stream`, same flag), and pairings with a - port read 0.
     """
     durations = _slice_durations(0, duration)
     validate_config(config)
@@ -219,7 +234,8 @@ def simulate_setting(config: ExperimentConfig, d1: float, d2: float,
 
     def make(k):
         part = emit_event_stream(config, d1, d2, durations[k], seed,
-                                 start=k * SLICE_SECONDS, out=buffers[k % 2], law=law)
+                                 start=k * SLICE_SECONDS, out=buffers[k % 2], law=law,
+                                 monitored_only=monitored_only)
         buffers[k % 2] = part.keys.base
         return part
 

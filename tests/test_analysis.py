@@ -373,6 +373,22 @@ class TestChshExperiment:
         assert e == pytest.approx((52.7 + 18.3 - 16.7 + 49.7) / 100.8)
         assert math.isfinite(sigma) and sigma > 0
 
+    @pytest.mark.parametrize("s, s_sigma, violating", [
+        (2.57, 1.45, False),  # the `lhv` run above: S = 2.57 +- 1.45, 0.39 sigma over 2
+        (2.7, 0.25, False),   # 2.8 sigma
+        (2.75, 0.25, True),   # exactly VIOLATION_SIGMAS
+        (2.828, 0.098, True),
+        (1.9, 0.01, False),
+    ])
+    def test_violating_needs_the_stated_significance(self, s, s_sigma, violating):
+        report = analysis.ChshReport(settings=STANDARD_SETTINGS, correlations=[0.0] * 4,
+                                     correlation_sigmas=[s_sigma / 2] * 4, s=s,
+                                     s_sigma=s_sigma, significance=(s - 2.0) / s_sigma,
+                                     sampler="lhv")
+        assert analysis.VIOLATION_SIGMAS == 3
+        assert report.violating is violating
+        assert ("non-violating" in analysis.chsh_report_text(report)) is not violating
+
     def test_unknown_law_is_rejected(self):
         with pytest.raises(ValueError, match="unknown pair law 'local'"):
             chsh_experiment(clean_config(), STANDARD_SETTINGS, 1.0, law="local")

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from conftest import clean_config
-from fransim import events, simulator
+from fransim import analysis, events, simulator
 from fransim.config import ConfigError, DetectorParams, TphcParams, loads_config
 from fransim.events import (
     CH_START_PLUS,
@@ -30,7 +30,7 @@ from fransim.events import (
     pack_keys,
     window_coincidences,
 )
-from fransim.quantum import coincidence_probability, correlation_from_rates
+from fransim.quantum import PAIR_LAWS, coincidence_probability, correlation_from_rates
 from fransim.simulator import (
     SLICE_PS,
     apply_jitter,
@@ -479,6 +479,74 @@ def test_reading_holds_the_keys_and_a_few_chunks(tmp_path):
     np.testing.assert_array_equal(back.keys, stream.keys)
     assert write_peak < 4e6, write_peak
     assert read_peak < 8 * n + 4e6, read_peak
+
+
+class TestMonitoredOnly:
+    """A fringe scan makes and counts the + ports alone; these check that this
+    is the + subset of the full record and leaves the counts it reads alone."""
+
+    @staticmethod
+    def _config(dark_only, lossy, jitter, centre):
+        if dark_only:
+            cfg = clean_config(pair_rate=0.0, dark_start=2e4, dark_stop=3e4)
+        else:
+            cfg = clean_config(pair_rate=2e4, dark_start=1e3, dark_stop=2e3)
+            cfg = _lossy(cfg) if lossy else cfg
+        offset = centre * cfg.analyzer1.path_delay  # the central or a side peak
+        return replace(cfg, detector_stop=replace(cfg.detector_stop, jitter_fwhm=jitter),
+                       tphc=replace(cfg.tphc, center_offset=offset))
+
+    @settings(deadline=None, max_examples=30)
+    @given(dark_only=st.booleans(), lossy=st.booleans(),
+           jitter=st.sampled_from([0.0, 200e-12]), centre=st.sampled_from([0, 1, -1]),
+           duration=st.sampled_from([0.4, 1.0, 2.5]), law=st.sampled_from(sorted(PAIR_LAWS)),
+           d1=st.floats(-math.pi, math.pi), seed=st.integers(0, 2**32 - 1))
+    def test_record_and_counts_are_the_plus_subset_of_the_full_run(
+            self, dark_only, lossy, jitter, centre, duration, law, d1, seed):
+        cfg = self._config(dark_only, lossy, jitter, centre)
+        full = emit_event_stream(cfg, d1, 0.2, duration, seed, law=law)
+        plus = emit_event_stream(cfg, d1, 0.2, duration, seed, law=law, monitored_only=True)
+        np.testing.assert_array_equal(plus.keys, full.keys[(full.keys & 2) == 0])
+
+        whole = simulate_setting(cfg, d1, 0.2, duration, seed, law=law)
+        part = simulate_setting(cfg, d1, 0.2, duration, seed, law=law, monitored_only=True)
+        assert (part.singles_start, part.singles_stop, part.coincidences[(1, 1)],
+                part.accidental_estimate) == (whole.singles_start, whole.singles_stop,
+                                              whole.coincidences[(1, 1)],
+                                              whole.accidental_estimate)
+        assert [part.coincidences[key] for key in OUTCOMES[1:]] == [0, 0, 0]
+        assert part == window_coincidences(plus, cfg.tphc)
+
+    def test_scan_equals_full_settings_at_the_point_seeds(self, monkeypatch):
+        cfg = clean_config(pair_rate=3e4, dark_start=2e3, dark_stop=3e3,
+                           jitter_stop=200e-12, seed=17)
+        controls = np.linspace(0.0, 2 * math.pi, 5, endpoint=False)
+        flags = []
+
+        def recording(*args, **kwargs):
+            flags.append(kwargs.get("monitored_only", False))
+            return simulate_setting(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "simulate_setting", recording)
+        points = analysis.scan_fringe(cfg, "phase2", controls, 1.5)
+        assert flags == [True] * len(controls)
+        for k, (x, point) in enumerate(zip(controls, points)):
+            full = simulate_setting(cfg, cfg.analyzer1.phase, x, 1.5,
+                                    analysis._point_seed(cfg.seed, k))
+            assert (point.raw_coincidences, point.accidentals) == \
+                (full.coincidences[(1, 1)], full.accidental_estimate)
+            assert point.net == full.coincidences[(1, 1)] - full.accidental_estimate
+
+    @pytest.mark.parametrize("n", [0, 1, 4, 5, 23])
+    def test_singles_counted_in_chunks(self, monkeypatch, n):
+        rng = np.random.default_rng(n)
+        keys = np.sort(rng.integers(-160, 1600, n))
+        expected = [int(np.count_nonzero((keys & 3) == c)) for c in (CH_START_PLUS,
+                                                                      CH_STOP_PLUS)]
+        monkeypatch.setattr(events, "_CHUNK", 4)
+        summary = window_coincidences(EventStream(1.0, keys), TphcParams(window_width=20 * PS))
+        assert [summary.singles_start, summary.singles_stop] == expected
+
 
 class TestConfigValidationPath:
     def test_dead_time_stub_errors(self):
