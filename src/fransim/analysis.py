@@ -389,7 +389,7 @@ def chsh_report_text(report: ChshReport) -> str:
         ("s", report.s),
         ("s_sigma", report.s_sigma),
         ("violating", report.violating),
-        ("significance", report.significance if report.violating else "non-violating"),
+        ("significance", report.significance),
         ("single_port_s", report.single_port_s),
     ]
     for k, (e, se) in enumerate(zip(report.correlations, report.correlation_sigmas)):

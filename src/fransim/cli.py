@@ -107,7 +107,9 @@ def cmd_reproduce_paper(args) -> int:
     fit = fit_fringe(points, period_hint=cfg.wavelength1 / 2)
 
     acc_rate = float(np.mean([p.accidentals for p in points])) / args.dwell
-    sig = significance_from_visibility(fit.visibility_clamped, fit.visibility_sigma)
+    # A flat scan fits with no error on V, so it has no significance and fails.
+    sig = (significance_from_visibility(fit.visibility_clamped, fit.visibility_sigma)
+           if fit.visibility_sigma > 0 else math.nan)
 
     rows = [
         ("accidental rate (Hz)", acc_rate, 33.25, abs(acc_rate - 33.25) <= 0.10 * 33.25),

@@ -225,13 +225,6 @@ def accidental_rate(singles_start: float, singles_stop: float, window: float) ->
     return singles_start * singles_stop * window
 
 
-def window_edges_ps(tphc: TphcParams) -> Tuple[int, int]:
-    """The closed window [lo, hi] on dt = stop - start, in integer ps."""
-    half_ps = round(tphc.window_width / 2 / PS)
-    center_ps = round(tphc.center_offset / PS)
-    return center_ps - half_ps, center_ps + half_ps
-
-
 def _check_packable(times: np.ndarray, where: str) -> None:
     """Raise ``ValueError`` unless every time has |t| < 2**61 ps."""
     if len(times) and (times.min() <= -PACK_LIMIT_PS or times.max() >= PACK_LIMIT_PS):
@@ -265,18 +258,17 @@ def pack_into(keys: np.ndarray, times: np.ndarray, channel: int) -> None:
     keys += channel
 
 
-def pair_positions(keys: np.ndarray, lo_ps: int, hi_ps: int):
+def pair_positions(keys: np.ndarray, reach_ps: int):
     """Positions in sorted packed ``keys`` of the (start, stop) pairs with
-    stop - start in [lo_ps, hi_ps], each pair once.
+    |stop - start| <= reach_ps, each pair once.
 
-    Both events of a pair lie within the reach max(-lo_ps, hi_ps) of each
-    other, so every key between them is within 4 reach + 3 of its successor.
-    A neighbour-gap pass keeps the few positions whose next key is that close;
-    round r then looks r keys ahead of each one still in reach, checks the
-    side bits and the exact dt, and drops the positions whose r+1-th
-    successor is out of reach. Rounds = most events within one reach.
+    Every key between the two events of a pair is within 4 reach + 3 of its
+    successor. A neighbour-gap pass keeps the few positions whose next key is
+    that close; round r then looks r keys ahead of each one still in reach,
+    checks the side bits and the exact |dt|, and drops the positions whose
+    r+1-th successor is out of reach. Rounds = most events within one reach.
     """
-    gap = 4 * max(-lo_ps, hi_ps) + 3
+    gap = 4 * reach_ps + 3
     near = [np.flatnonzero(np.diff(keys[i:i + _CHUNK + 1]) <= gap) + i
             for i in range(0, len(keys) - 1, _CHUNK)]
     p = np.concatenate(near) if near else np.empty(0, np.int64)
@@ -284,9 +276,8 @@ def pair_positions(keys: np.ndarray, lo_ps: int, hi_ps: int):
     step = 1
     while len(p):
         a, b = keys[p], keys[p + step]
-        start_first = (a & 1) < (b & 1)  # a is a start and b a stop
-        dt = np.where(start_first, 1, -1) * ((b >> 2) - (a >> 2))
-        pair = ((a & 1) != (b & 1)) & (lo_ps <= dt) & (dt <= hi_ps)
+        pair = ((a & 1) != (b & 1)) & ((b >> 2) - (a >> 2) <= reach_ps)
+        start_first = (a & 1) == 0
         starts.append(np.where(start_first, p, p + step)[pair])
         stops.append(np.where(start_first, p + step, p)[pair])
         step += 1
@@ -308,6 +299,10 @@ def window_coincidences(stream: EventStream, tphc: TphcParams,
     """Count start-stop pairs with |dt - center_offset| <= window_width / 2 per
     output-port pairing, plus monitored singles and the accidental estimate.
 
+    The centre offset, rounded to whole ps, is taken away from every stop
+    before pairing: the stop keys are selected by side bit, shifted, and
+    merged with the start keys by one stable sort of the two sorted runs. So
+    the pairing walk reaches the half-width alone, whatever the offset.
     A window at least as wide as the interferometer path delay no longer
     rejects the side peaks; that is reported as a warning, not an error.
     """
@@ -326,7 +321,12 @@ def window_coincidences(stream: EventStream, tphc: TphcParams,
         singles_stop += int(np.count_nonzero(channels == CH_STOP_PLUS))
     coinc = dict.fromkeys(OUTCOMES, 0)
     if tphc.window_width > 0:
-        counts = pairing_counts(keys, *pair_positions(keys, *window_edges_ps(tphc)))
+        center = round(tphc.center_offset / PS)
+        if center:
+            stop = (keys & 1).astype(bool)
+            keys = np.concatenate([keys[~stop], keys[stop] - 4 * center])
+            keys.sort(kind="stable")  # a merge of the two sorted runs
+        counts = pairing_counts(keys, *pair_positions(keys, round(tphc.window_width / 2 / PS)))
         coinc = dict(zip(OUTCOMES, counts.tolist()))
     return CountSummary.from_counts(stream.duration, singles_start, singles_stop,
                                     coinc, tphc.window_width)
@@ -347,7 +347,7 @@ def build_histogram(stream: EventStream, bin_width: float, range_: float) -> His
     range_ps = round(range_ / PS)
     nbins = max(1, -(-2 * range_ps // bin_ps))
     keys = stream.keys
-    starts, stops = pair_positions(keys, -range_ps, range_ps)
+    starts, stops = pair_positions(keys, range_ps)
     index = ((keys[stops] >> 2) - (keys[starts] >> 2) + range_ps) // bin_ps
     counts = np.bincount(np.minimum(index, nbins - 1), minlength=nbins).astype(np.int64)
     return Histogram(bin_width=bin_ps * PS, origin=-range_ps * PS, counts=counts)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
@@ -26,7 +27,6 @@ from .events import (
     pair_positions,
     pairing_counts,
     window_coincidences,
-    window_edges_ps,
 )
 from .quantum import PAIR_LAWS
 
@@ -77,9 +77,10 @@ def _slice_keys(config: ExperimentConfig, probs: np.ndarray, t0_ps: int, dur: fl
     which every pair law shares: a uniform port and the long arm with prob. 1/2.
     Times are drawn uniformly on the 1 ps grid of the slice, from ``t0_ps``;
     the path delay and the centre offset are rounded to whole ps, and so is
-    the jitter. Each block is packed into one key array as it is drawn; without
-    ``out`` that array is sized from the expected event count plus 9 of its
-    standard deviations, and a block that does not fit grows it.
+    the jitter. Every stop event, dark counts included, is moved by the
+    centre offset. Each block is packed into one key array as it is drawn;
+    without ``out`` that array is sized from the expected event count plus 9
+    of its standard deviations, and a block that does not fit grows it.
 
     With ``monitored_only`` the blocks of the - ports (channels 2 and 3) are
     still drawn, in the same order, but not packed: the keys are exactly the
@@ -88,6 +89,7 @@ def _slice_keys(config: ExperimentConfig, probs: np.ndarray, t0_ps: int, dur: fl
     src = config.source
     end_ps = t0_ps + max(1, round(dur / PS))  # a sub-ps last slice keeps one grid point
     delay = round(config.analyzer1.path_delay / PS)
+    center = round(config.tphc.center_offset / PS)
     split = src.pair_rate * src.split_efficiency * dur
     eta1 = src.arm1_transmission * config.detector_start.efficiency
     eta2 = src.arm2_transmission * config.detector_stop.efficiency
@@ -104,6 +106,8 @@ def _slice_keys(config: ExperimentConfig, probs: np.ndarray, t0_ps: int, dur: fl
             return
         if end + len(times) > len(keys):
             keys = np.concatenate([keys[:end], np.empty(max(len(times), len(keys)), np.int64)])
+        if center and channel & 1:
+            times += center  # the stop delay, a relabel the window takes away again
         pack_into(keys[end:end + len(times)], times, channel)
         end += len(times)
 
@@ -111,10 +115,9 @@ def _slice_keys(config: ExperimentConfig, probs: np.ndarray, t0_ps: int, dur: fl
     emission = rng.integers(t0_ps, end_ps, n_both)
     cells = rng.choice(16, n_both, p=probs)  # bits: start arm, stop arm, start port, stop port
 
-    for side, det, arm_bit, port_bit, mean_one, shift in (
-            (0, config.detector_start, 3, 1, split * eta1 * (1.0 - eta2), 0),
-            (1, config.detector_stop, 2, 0, split * (1.0 - eta1) * eta2,
-             round(config.tphc.center_offset / PS))):
+    for side, det, arm_bit, port_bit, mean_one in (
+            (0, config.detector_start, 3, 1, split * eta1 * (1.0 - eta2)),
+            (1, config.detector_stop, 2, 0, split * (1.0 - eta1) * eta2)):
         both_time = emission + delay * (cells >> arm_bit & 1)
         both_port = cells >> port_bit & 1
         for port in (0, 2):
@@ -123,7 +126,6 @@ def _slice_keys(config: ExperimentConfig, probs: np.ndarray, t0_ps: int, dur: fl
             # them as the long-arm ones is the same law as a coin per event.
             one_time[:rng.binomial(len(one_time), 0.5)] += delay
             times = np.concatenate([both_time[both_port == port >> 1], one_time])
-            times += shift
             put(apply_jitter(times, det, rng), side | port)
             put(generate_dark_counts(det.dark_rate, dur, rng, t0_ps), side | port)
     keys = keys[:end]
@@ -207,8 +209,8 @@ def simulate_setting(config: ExperimentConfig, d1: float, d2: float,
     walk on the carried keys and the slice's head (its events within the
     window's reach of the last carried one). The carry keeps the events at or
     past ``t0 - margin - reach`` of the next slice, where ``reach`` is the
-    window reach (half-width + |center_offset|) and ``margin`` is ``reach``
-    plus ``JITTER_SIGMAS`` of the larger detector jitter.
+    window's half-width and ``margin`` is ``reach`` plus ``JITTER_SIGMAS`` of
+    the larger detector jitter.
 
     That is exact because each slice is checked, on its first key, to emit
     no event before its ``t0 - margin``, and the partner of any of its
@@ -216,16 +218,19 @@ def simulate_setting(config: ExperimentConfig, d1: float, d2: float,
     Counts and singles equal ``window_coincidences`` on the whole-run
     :func:`emit_event_stream` record, and the accidental estimate comes once
     from the singles totals, the estimator the whole-stream path uses.
+    The centre offset moves every stop event and the window takes it away
+    again, so the slices are made and counted with it set to 0, after the
+    config as given is validated; nothing here depends on it.
     With ``monitored_only`` only the + ports are made and counted (see
     :func:`emit_event_stream`, same flag), and pairings with a - port read 0.
     """
     durations = _slice_durations(0, duration)
     validate_config(config)
-    lo, hi = window_edges_ps(config.tphc)
-    reach = max(-lo, hi)
+    config = replace(config, tphc=replace(config.tphc, center_offset=0.0))
+    reach = round(config.tphc.window_width / 2 / PS)
     sigma = fwhm_to_sigma(max(config.detector_start.jitter_fwhm,
                               config.detector_stop.jitter_fwhm))
-    # +1 ps covers rounding the shifted, jittered times to the grid.
+    # +1 ps covers rounding the jittered times to the grid.
     margin = reach + math.ceil(JITTER_SIGMAS * sigma / PS) + 1
     carry = np.empty(0, np.int64)  # sorted keys of earlier events a later slice may reach
     coinc = np.zeros(len(OUTCOMES), np.int64)
@@ -254,7 +259,7 @@ def simulate_setting(config: ExperimentConfig, d1: float, d2: float,
         if len(carry):
             reachable = (carry[-1] >> 2) + reach
             head = keys[:np.searchsorted(keys, 4 * (reachable + 1))]
-            coinc += _carried_pairs(carry, head, lo, hi)
+            coinc += _carried_pairs(carry, head, reach)
         bound = 4 * ((k + 1) * SLICE_PS - margin - reach)
         carry = np.sort(np.concatenate([carry[np.searchsorted(carry, bound):],
                                         keys[np.searchsorted(keys, bound):]]))
@@ -271,9 +276,9 @@ def simulate_setting(config: ExperimentConfig, d1: float, d2: float,
                                     config.tphc.window_width)
 
 
-def _carried_pairs(carried: np.ndarray, head: np.ndarray, lo: int, hi: int) -> np.ndarray:
+def _carried_pairs(carried: np.ndarray, head: np.ndarray, reach: int) -> np.ndarray:
     """Pairs per pairing with one event in each of two sorted key arrays: the
     pairs of both together less the pairs within each."""
     def counts(keys):
-        return pairing_counts(keys, *pair_positions(keys, lo, hi))
+        return pairing_counts(keys, *pair_positions(keys, reach))
     return counts(np.sort(np.concatenate([carried, head]))) - counts(carried) - counts(head)

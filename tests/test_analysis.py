@@ -387,7 +387,9 @@ class TestChshExperiment:
                                      sampler="lhv")
         assert analysis.VIOLATION_SIGMAS == 3
         assert report.violating is violating
-        assert ("non-violating" in analysis.chsh_report_text(report)) is not violating
+        text = analysis.chsh_report_text(report)
+        assert f"violating = {violating}\n" in text
+        assert f"significance = {report.significance}\n" in text
 
     def test_unknown_law_is_rejected(self):
         with pytest.raises(ValueError, match="unknown pair law 'local'"):
@@ -439,7 +441,7 @@ class TestSerialization:
                                  0.5, law="lhv")
         text = analysis.chsh_report_text(report)
         assert "s = " in text and "sampler = lhv" in text
-        if not report.violating:
-            assert "non-violating" in text
+        assert not report.violating and "violating = False\n" in text
+        assert f"significance = {report.significance}\n" in text  # the number, always
         payload = analysis.chsh_report_json(report)
         assert '"s"' in payload

@@ -1,8 +1,11 @@
 import math
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from fransim.cli import main
+from fransim.cli import build_parser, main
 from fransim.config import (
     ConfigError,
     config_hash,
@@ -232,6 +235,16 @@ class TestCli:
         assert "FAIL" not in captured
         assert out.exists()
 
+    def test_fringe_less_reproduction_prints_its_verdict(self, capsys):
+        # A 0.1 us dwell sees no coincidence, so the fit is flat with no
+        # error on V: the table still prints, its rows fail, and it exits 1.
+        rc = main(["reproduce-paper", "--seed", "1", "--points", "5", "--dwell", "1e-7"])
+        captured = capsys.readouterr()
+        assert rc == 1, captured.err
+        lines = captured.out.splitlines()
+        assert len(lines) == 5 and all(line.endswith("FAIL") for line in lines[1:])
+        assert lines[4].split() == ["violation", "significance", "nan", "7.93", "FAIL"]
+
     def test_chsh_command(self, small_config, tmp_path):
         out = tmp_path / "chsh.txt"
         rc = main(["chsh", "--config", str(small_config), "--quiet",
@@ -240,3 +253,18 @@ class TestCli:
         assert (tmp_path / "chsh.txt.json").exists()
         fields = dict(line.split(" = ") for line in out.read_text().splitlines())
         assert 0.0 < float(fields["s"]) <= 2 * math.sqrt(2) + 0.2
+
+
+def test_readme_command_lines_parse(capsys):
+    # A flag the CLI no longer has must not linger in the documented commands.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, re.S | re.M)
+    lines = (line.split("#", 1)[0].strip() for block in blocks for line in block.splitlines())
+    commands = [line for line in lines if line.startswith("fransim ")]
+    assert len(commands) >= 5, commands
+    parser = build_parser()
+    for command in commands:
+        try:
+            parser.parse_args(shlex.split(command)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {command}\n{capsys.readouterr().err}")

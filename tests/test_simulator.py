@@ -580,34 +580,69 @@ class TestStreamingSlices:
            center=st.integers(-400, 400))
     def test_cut_and_carry_counts_every_pair_once(self, data, n_slices, half, center):
         # Hand-made slices crowd events around each boundary. Like real ones,
-        # a slice's starts lie at or past its start and its stops may lead it
-        # by a negative center offset (jitter is off, so that is the whole lead).
-        # Either side may also lead it by up to the margin, reach + 1 ps
-        # without jitter, the floor simulate_setting checks.
+        # a slice's events lie at or past its start before the emitter moves
+        # its stops by the centre offset, and either side may lead the start
+        # by up to the margin, half + 1 ps without jitter, the floor
+        # simulate_setting checks.
         tphc = TphcParams(window_width=2 * half * PS, center_offset=center * PS)
         cfg = replace(clean_config(), tphc=tphc)
-        margin = half + abs(center) + 1
         offsets = st.lists(st.integers(0, 3000), max_size=5)
-        leads = st.lists(st.integers(1, margin), max_size=3)
+        leads = st.lists(st.integers(1, half + 1), max_size=3)
         slices = []
         for k in range(n_slices):
             ports = {}
             for name in PORTS:
-                floor = k * SLICE_PS + (min(center, 0) if name.startswith("stop") else 0)
-                times = [floor + off for off in data.draw(offsets)]
+                times = [k * SLICE_PS + off for off in data.draw(offsets)]
                 times += [k * SLICE_PS - lead for lead in data.draw(leads)]
                 times += [(k + 1) * SLICE_PS - 1500 + off for off in data.draw(offsets)]
-                ports[name] = np.sort(np.array(times, dtype=np.int64))
+                ports[name] = np.array(times, dtype=np.int64)
             slices.append(ports)
 
+        def emitted(ports, config):  # the stops moved by the centre, as emit_event_stream does
+            shift = round(config.tphc.center_offset / PS)
+            return {name: times + shift * name.startswith("stop") for name, times in ports.items()}
+
         def fake_emit(config, d1, d2, duration, seed, *, start=0.0, **kwargs):
-            return EventStream.from_ports(duration, **slices[int(start)])
+            return EventStream.from_ports(duration, **emitted(slices[int(start)], config))
 
         with mock.patch.object(simulator, "emit_event_stream", fake_emit):
             got = simulate_setting(cfg, 0.0, 0.0, float(n_slices), 1)
         whole = EventStream.from_ports(float(n_slices), **{
-            name: np.sort(np.concatenate([ports[name] for ports in slices])) for name in PORTS})
+            name: np.concatenate([emitted(ports, cfg)[name] for ports in slices])
+            for name in PORTS})
         assert got == window_coincidences(whole, tphc)
+
+    def test_centre_offset_is_a_relabel(self):
+        # The centre moves every stop event, dark counts included, and the
+        # window takes it away again, so the counts do not depend on it.
+        cfg = clean_config(pair_rate=2e4, dark_start=2e3, dark_stop=2e4,
+                           jitter_stop=200e-12, seed=5)
+        summaries = []
+        for offset in (0.0, -130e-12, 2e-3):
+            config = replace(cfg, tphc=replace(cfg.tphc, center_offset=offset))
+            summary = simulate_setting(config, 0.3, 0.1, 2.5, cfg.seed)
+            stream = emit_event_stream(config, 0.3, 0.1, 2.5, cfg.seed)
+            assert summary == window_coincidences(stream, config.tphc), offset
+            summaries.append(summary)
+        assert summaries[1] == summaries[0] and summaries[2] == summaries[0]
+
+    def test_pairing_reach_is_the_half_width(self, monkeypatch):
+        # Under a 2 ms centre the pairing walk reaches the half-width alone,
+        # not every stop within 2 ms of each event.
+        cfg = clean_config(pair_rate=2e4, dark_start=2e3, dark_stop=2e4, seed=6)
+        cfg = replace(cfg, tphc=replace(cfg.tphc, center_offset=2e-3))
+        half = round(cfg.tphc.window_width / 2 / PS)
+        reaches = []
+        real = events.pair_positions
+
+        def recording(keys, *reach):
+            reaches.append(reach)
+            return real(keys, *reach)
+
+        for module in (events, simulator):
+            monkeypatch.setattr(module, "pair_positions", recording)
+        simulate_setting(cfg, 0.0, 0.0, 2.5, cfg.seed)
+        assert reaches and all(reach == (half,) for reach in reaches), reaches
 
     def test_event_before_the_margin_raises(self, monkeypatch):
         real_emit = simulator.emit_event_stream
