@@ -300,9 +300,9 @@ def window_coincidences(stream: EventStream, tphc: TphcParams,
     output-port pairing, plus monitored singles and the accidental estimate.
 
     The centre offset, rounded to whole ps, is taken away from every stop
-    before pairing: the stop keys are selected by side bit, shifted, and
-    merged with the start keys by one stable sort of the two sorted runs. So
-    the pairing walk reaches the half-width alone, whatever the offset.
+    before pairing, in one pass over one copy of the keys that one stable
+    sort puts back in order. So the pairing walk reaches the half-width
+    alone, whatever the offset.
     A window at least as wide as the interferometer path delay no longer
     rejects the side peaks; that is reported as a warning, not an error.
     """
@@ -323,9 +323,10 @@ def window_coincidences(stream: EventStream, tphc: TphcParams,
     if tphc.window_width > 0:
         center = round(tphc.center_offset / PS)
         if center:
-            stop = (keys & 1).astype(bool)
-            keys = np.concatenate([keys[~stop], keys[stop] - 4 * center])
-            keys.sort(kind="stable")  # a merge of the two sorted runs
+            shifted = keys & 1
+            shifted *= -4 * center
+            keys = np.add(shifted, keys, out=shifted)
+            keys.sort(kind="stable")  # a timsort, fast on the nearly sorted keys
         counts = pairing_counts(keys, *pair_positions(keys, round(tphc.window_width / 2 / PS)))
         coinc = dict(zip(OUTCOMES, counts.tolist()))
     return CountSummary.from_counts(stream.duration, singles_start, singles_stop,

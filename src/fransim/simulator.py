@@ -24,8 +24,6 @@ from .events import (
     CountSummary,
     EventStream,
     pack_into,
-    pair_positions,
-    pairing_counts,
     window_coincidences,
 )
 from .quantum import PAIR_LAWS
@@ -204,13 +202,13 @@ def simulate_setting(config: ExperimentConfig, d1: float, d2: float,
     so at most two slices are alive: a worker thread makes each odd slice
     while this thread makes the even one before it (numpy releases the GIL
     in the draws and the sort), each into its thread's previous key buffer.
-    A pair is counted with its later event's slice: pairs within the slice by
-    :func:`fransim.events.window_coincidences`, pairs reaching back by the same
-    walk on the carried keys and the slice's head (its events within the
-    window's reach of the last carried one). The carry keeps the events at or
-    past ``t0 - margin - reach`` of the next slice, where ``reach`` is the
-    window's half-width and ``margin`` is ``reach`` plus ``JITTER_SIGMAS`` of
-    the larger detector jitter.
+    A pair is counted with its later event's slice: the slice's keys, merged
+    with the keys carried from earlier slices, are counted by
+    :func:`fransim.events.window_coincidences`, less the count of the carry
+    alone, whose pairs and singles an earlier slice counted. The carry keeps
+    the merged events at or past ``t0 - margin - reach`` of the next slice,
+    where ``reach`` is the window's half-width and ``margin`` is ``reach``
+    plus ``JITTER_SIGMAS`` of the larger detector jitter.
 
     That is exact because each slice is checked, on its first key, to emit
     no event before its ``t0 - margin``, and the partner of any of its
@@ -233,8 +231,7 @@ def simulate_setting(config: ExperimentConfig, d1: float, d2: float,
     # +1 ps covers rounding the jittered times to the grid.
     margin = reach + math.ceil(JITTER_SIGMAS * sigma / PS) + 1
     carry = np.empty(0, np.int64)  # sorted keys of earlier events a later slice may reach
-    coinc = np.zeros(len(OUTCOMES), np.int64)
-    singles_start = singles_stop = 0
+    totals = np.zeros(len(OUTCOMES) + 2, np.int64)  # the pairings, then the start, stop singles
     buffers = [None, None]  # the key buffer of each thread's last slice
 
     def make(k):
@@ -244,25 +241,25 @@ def simulate_setting(config: ExperimentConfig, d1: float, d2: float,
         buffers[k % 2] = part.keys.base
         return part
 
+    def tally(keys):
+        counted = window_coincidences(EventStream(SLICE_SECONDS, keys), config.tphc)
+        return [*map(counted.coincidences.get, OUTCOMES), counted.singles_start,
+                counted.singles_stop]
+
     def count(k, part):
-        nonlocal carry, coinc, singles_start, singles_stop
+        nonlocal carry, totals
         keys = part.keys
         floor = k * SLICE_PS - margin
         if len(keys) and keys[0] >> 2 < floor:
             raise RuntimeError(
                 f"slice {k} emitted a {CHANNEL_PORTS[keys[0] & 3]} event at {keys[0] >> 2} ps, "
                 f"before its {floor} ps floor: the {margin} ps stream margin is too small")
-        counted = window_coincidences(part, config.tphc)
-        coinc += [counted.coincidences[outcome] for outcome in OUTCOMES]
-        singles_start += counted.singles_start
-        singles_stop += counted.singles_stop
-        if len(carry):
-            reachable = (carry[-1] >> 2) + reach
-            head = keys[:np.searchsorted(keys, 4 * (reachable + 1))]
-            coinc += _carried_pairs(carry, head, reach)
-        bound = 4 * ((k + 1) * SLICE_PS - margin - reach)
-        carry = np.sort(np.concatenate([carry[np.searchsorted(carry, bound):],
-                                        keys[np.searchsorted(keys, bound):]]))
+        if len(carry):  # the carry's own pairs and singles were counted with an earlier slice
+            totals -= tally(carry)
+            keys = np.insert(keys, np.searchsorted(keys, carry), carry)
+        totals += tally(keys)
+        # A copy: both threads' key buffers are rewritten before the next count reads it.
+        carry = keys[np.searchsorted(keys, 4 * ((k + 1) * SLICE_PS - margin - reach)):].copy()
 
     # A one-slice setting submits nothing, so it starts no thread.
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="fransim-slice") as worker:
@@ -271,14 +268,6 @@ def simulate_setting(config: ExperimentConfig, d1: float, d2: float,
             count(k, make(k))
             if ahead is not None:
                 count(k + 1, ahead.result())
+    *coinc, singles_start, singles_stop = totals.tolist()
     return CountSummary.from_counts(duration, singles_start, singles_stop,
-                                    dict(zip(OUTCOMES, coinc.tolist())),
-                                    config.tphc.window_width)
-
-
-def _carried_pairs(carried: np.ndarray, head: np.ndarray, reach: int) -> np.ndarray:
-    """Pairs per pairing with one event in each of two sorted key arrays: the
-    pairs of both together less the pairs within each."""
-    def counts(keys):
-        return pairing_counts(keys, *pair_positions(keys, reach))
-    return counts(np.sort(np.concatenate([carried, head]))) - counts(carried) - counts(head)
+                                    dict(zip(OUTCOMES, coinc)), config.tphc.window_width)

@@ -16,7 +16,8 @@ from scipy import stats
 
 from conftest import clean_config
 from fransim import analysis, events, simulator
-from fransim.config import ConfigError, DetectorParams, TphcParams, loads_config
+from fransim.config import (ConfigError, DetectorParams, TphcParams, loads_config,
+                            reproduction_config)
 from fransim.events import (
     CH_START_PLUS,
     CH_STOP_PLUS,
@@ -639,10 +640,51 @@ class TestStreamingSlices:
             reaches.append(reach)
             return real(keys, *reach)
 
-        for module in (events, simulator):
-            monkeypatch.setattr(module, "pair_positions", recording)
+        monkeypatch.setattr(events, "pair_positions", recording)
         simulate_setting(cfg, 0.0, 0.0, 2.5, cfg.seed)
         assert reaches and all(reach == (half,) for reach in reaches), reaches
+
+    def test_centre_shift_copies_the_keys_once(self):
+        # The stops are shifted in one pass over one copy of the keys;
+        # selecting them and concatenating peaked at 2.13 key arrays.
+        config = reproduction_config()
+        stream = emit_event_stream(config, 0.0, 0.0, 1.0, 3)
+        tracemalloc.start()
+        try:
+            window_coincidences(stream, replace(config.tphc, center_offset=-130e-12))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * stream.keys.nbytes, peak / stream.keys.nbytes
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_real_carry_into_reused_buffers(self, monkeypatch, seed):
+        # A 10 us stop jitter widens the margin to about 50 us, so a few events
+        # are carried over each boundary into slices made in reused buffers.
+        cfg = clean_config(pair_rate=2e4, dark_start=2e4, dark_stop=2e4, jitter_stop=1e-5)
+        made, counted = {}, []
+        real_emit, real_window = simulator.emit_event_stream, simulator.window_coincidences
+
+        def emit(*args, start, **kwargs):
+            stream = real_emit(*args, start=start, **kwargs)
+            made[round(start)] = len(stream.keys)
+            return stream
+
+        def window(stream, tphc):
+            counted.append(len(stream.keys))
+            return real_window(stream, tphc)
+
+        monkeypatch.setattr(simulator, "emit_event_stream", emit)
+        monkeypatch.setattr(simulator, "window_coincidences", window)
+        got = simulate_setting(cfg, 0.3, 0.1, 4.5, seed)
+        assert got == window_coincidences(emit_event_stream(cfg, 0.3, 0.1, 4.5, seed), cfg.tphc)
+        # Each slice is counted alone, or after its carry as the carry merged with it.
+        carries, calls = [], iter(counted)
+        for k in range(len(made)):
+            n = next(calls)
+            carries.append(0 if n == made[k] else n)
+            assert n == made[k] or next(calls) == made[k] + n
+        assert next(calls, None) is None and any(carries), carries
 
     def test_event_before_the_margin_raises(self, monkeypatch):
         real_emit = simulator.emit_event_stream
