@@ -22,7 +22,7 @@ from .events import (  # noqa: F401  (re-exported analysis surface)
     window_coincidences,
 )
 from .quantum import ChshSettings, UndefinedCorrelationError
-from .simulator import simulate_setting
+from .simulator import simulate_setting, simulate_settings  # noqa: F401  (re-exported)
 
 __all__ = [
     "FringePoint",
@@ -92,7 +92,9 @@ def scan_fringe(config: ExperimentConfig, scan_axis: str,
     scan_axis 'phase2' drives the fiber-interferometer phase directly.
     Only the (+,+) port pairing is recorded, mirroring single-output
     detection; accidentals are subtracted per point. So each setting makes
-    and counts the + ports alone, with the full run's counts of those.
+    and counts the + ports alone, with the full run's counts of those. All
+    the points go through one :func:`fransim.simulator.simulate_settings`
+    call, point k at seed ``_point_seed(config.seed, k)``.
     """
     if scan_axis not in ("mirror1", "phase2"):
         raise ValueError(f"unknown scan axis {scan_axis!r}")
@@ -101,7 +103,7 @@ def scan_fringe(config: ExperimentConfig, scan_axis: str,
     bad = [x for x in points if not math.isfinite(x)]
     if bad:
         raise ValueError(f"scan points must be finite, got {bad[0]}")
-    result = []
+    settings = []
     for k, x in enumerate(points):
         if scan_axis == "mirror1":
             d1 = config.analyzer1.phase + 4.0 * math.pi * x / config.wavelength1
@@ -109,8 +111,10 @@ def scan_fringe(config: ExperimentConfig, scan_axis: str,
         else:
             d1 = config.analyzer1.phase
             d2 = x
-        summary = simulate_setting(config, d1, d2, dwell, _point_seed(config.seed, k),
-                                   monitored_only=True)
+        settings.append((d1, d2, _point_seed(config.seed, k)))
+    result = []
+    for x, summary in zip(points, simulate_settings(config, settings, dwell,
+                                                    monitored_only=True)):
         raw = summary.coincidences[(1, 1)]
         acc = summary.accidental_estimate
         result.append(FringePoint(control=float(x), raw_coincidences=raw,
@@ -329,11 +333,13 @@ def chsh_experiment(config: ExperimentConfig, settings: ChshSettings,
                     dwell: float, law: str = "quantum") -> ChshReport:
     """Run the four CHSH settings through the Monte Carlo engine, pairs following
     the :data:`fransim.quantum.PAIR_LAWS` entry ``law`` (the report's ``sampler``),
-    and compute S with propagated Poisson errors from accidental-subtracted counts."""
+    and compute S with propagated Poisson errors from accidental-subtracted counts.
+    The settings go through one :func:`fransim.simulator.simulate_settings`
+    call, setting k at seed ``_point_seed(config.seed, 1000 + k)``."""
+    pairs = [(d1, d2, _point_seed(config.seed, 1000 + k))
+             for k, (d1, d2) in enumerate(settings.pairs())]
     es, sigmas, singles = [], [], []
-    for k, (d1, d2) in enumerate(settings.pairs()):
-        summary = simulate_setting(config, d1, d2, dwell,
-                                   _point_seed(config.seed, 1000 + k), law=law)
+    for summary in simulate_settings(config, pairs, dwell, law=law):
         raw = summary.coincidences
         net = {key: raw[key] - summary.accidental_estimate for key in OUTCOMES}
         e, se = _counts_to_correlation(net, raw)

@@ -9,8 +9,10 @@ of event keys.
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from typing import Sequence
 
 import numpy as np
 
@@ -34,6 +36,7 @@ __all__ = [
     "generate_dark_counts",
     "emit_event_stream",
     "simulate_setting",
+    "simulate_settings",
 ]
 
 SLICE_PS = round(SLICE_SECONDS / PS)
@@ -195,31 +198,45 @@ def emit_event_stream(config: ExperimentConfig, d1: float, d2: float, duration: 
 def simulate_setting(config: ExperimentConfig, d1: float, d2: float,
                      duration: float, seed: int, *, law: str = "quantum",
                      monitored_only: bool = False) -> CountSummary:
-    """Simulate one phase setting and window-discriminate the coincidences,
-    pairs detected on both sides following the pair law named ``law``.
+    """Simulate one phase setting and window-discriminate the coincidences:
+    :func:`simulate_settings` of the one setting ``(d1, d2, seed)``."""
+    return simulate_settings(config, [(d1, d2, seed)], duration, law=law,
+                             monitored_only=monitored_only)[0]
 
-    Each 1 s slice is made by :func:`emit_event_stream` and counted in order,
-    so at most two slices are alive: a worker thread makes each odd slice
-    while this thread makes the even one before it (numpy releases the GIL
-    in the draws and the sort), each into its thread's previous key buffer.
-    A pair is counted with its later event's slice: the slice's keys, merged
-    with the keys carried from earlier slices, are counted by
-    :func:`fransim.events.window_coincidences`, less the count of the carry
-    alone, whose pairs and singles an earlier slice counted. The carry keeps
-    the merged events at or past ``t0 - margin - reach`` of the next slice,
-    where ``reach`` is the window's half-width and ``margin`` is ``reach``
-    plus ``JITTER_SIGMAS`` of the larger detector jitter.
+
+def simulate_settings(config: ExperimentConfig, settings: Sequence[tuple[float, float, int]],
+                      duration: float, *, law: str = "quantum",
+                      monitored_only: bool = False) -> list[CountSummary]:
+    """Simulate each phase setting ``(d1, d2, seed)`` for ``duration`` and
+    window-discriminate its coincidences, pairs detected on both sides
+    following the pair law named ``law``; one count summary per setting.
+
+    The 1 s slices of all the settings are one pipeline of jobs, in order.
+    Each job makes one slice with :func:`emit_event_stream` and counts it
+    alone with :func:`fransim.events.window_coincidences`, on one of two pool
+    threads (numpy releases the GIL in the draws, the sort and the count).
+    This thread takes the jobs' results in order, and only then submits the
+    job two places on, into the key buffer of the job it took, so at most two
+    slices are alive; a call with one job makes it here and starts no thread.
+
+    A pair is counted with its later event's slice. With no keys carried from
+    earlier slices of the setting, the slice's own count is taken; otherwise
+    the slice's keys merged with the carry are counted, less the count of the
+    carry alone, whose pairs and singles an earlier slice counted. The carry
+    keeps the merged events at or past ``t0 - margin - reach`` of the next
+    slice, where ``reach`` is the window's half-width and ``margin`` is
+    ``reach`` plus ``JITTER_SIGMAS`` of the larger detector jitter.
 
     That is exact because each slice is checked, on its first key, to emit
     no event before its ``t0 - margin``, and the partner of any of its
     events lies within ``reach``; a violation raises ``RuntimeError``.
     Counts and singles equal ``window_coincidences`` on the whole-run
-    :func:`emit_event_stream` record, and the accidental estimate comes once
-    from the singles totals, the estimator the whole-stream path uses.
-    The centre offset moves every stop event and the window takes it away
-    again, so the slices are made and counted with it set to 0, after the
-    config as given is validated; nothing here depends on it.
-    With ``monitored_only`` only the + ports are made and counted (see
+    :func:`emit_event_stream` record of the setting, and the accidental
+    estimate comes once from the singles totals, the estimator the
+    whole-stream path uses. The centre offset moves every stop event and the
+    window takes it away again, so the slices are made and counted with it
+    set to 0, after the config as given is validated; nothing here depends
+    on it. With ``monitored_only`` only the + ports are made and counted (see
     :func:`emit_event_stream`, same flag), and pairings with a - port read 0.
     """
     durations = _slice_durations(0, duration)
@@ -230,44 +247,51 @@ def simulate_setting(config: ExperimentConfig, d1: float, d2: float,
                               config.detector_stop.jitter_fwhm))
     # +1 ps covers rounding the jittered times to the grid.
     margin = reach + math.ceil(JITTER_SIGMAS * sigma / PS) + 1
-    carry = np.empty(0, np.int64)  # sorted keys of earlier events a later slice may reach
-    totals = np.zeros(len(OUTCOMES) + 2, np.int64)  # the pairings, then the start, stop singles
-    buffers = [None, None]  # the key buffer of each thread's last slice
-
-    def make(k):
-        part = emit_event_stream(config, d1, d2, durations[k], seed,
-                                 start=k * SLICE_SECONDS, out=buffers[k % 2], law=law,
-                                 monitored_only=monitored_only)
-        buffers[k % 2] = part.keys.base
-        return part
+    n_slices, n_jobs = len(durations), len(settings) * len(durations)
 
     def tally(keys):
+        """The pairings, then the start and stop singles, of ``keys`` alone."""
         counted = window_coincidences(EventStream(SLICE_SECONDS, keys), config.tphc)
-        return [*map(counted.coincidences.get, OUTCOMES), counted.singles_start,
-                counted.singles_stop]
+        return np.array([*map(counted.coincidences.get, OUTCOMES), counted.singles_start,
+                         counted.singles_stop], np.int64)
 
-    def count(k, part):
-        nonlocal carry, totals
-        keys = part.keys
-        floor = k * SLICE_PS - margin
-        if len(keys) and keys[0] >> 2 < floor:
-            raise RuntimeError(
-                f"slice {k} emitted a {CHANNEL_PORTS[keys[0] & 3]} event at {keys[0] >> 2} ps, "
-                f"before its {floor} ps floor: the {margin} ps stream margin is too small")
-        if len(carry):  # the carry's own pairs and singles were counted with an earlier slice
-            totals -= tally(carry)
-            keys = np.insert(keys, np.searchsorted(keys, carry), carry)
-        totals += tally(keys)
-        # A copy: both threads' key buffers are rewritten before the next count reads it.
-        carry = keys[np.searchsorted(keys, 4 * ((k + 1) * SLICE_PS - margin - reach)):].copy()
+    def make(job, out):
+        (d1, d2, seed), k = settings[job // n_slices], job % n_slices
+        keys = emit_event_stream(config, d1, d2, durations[k], seed, start=k * SLICE_SECONDS,
+                                 out=out, law=law, monitored_only=monitored_only).keys
+        return keys, tally(keys)
 
-    # A one-slice setting submits nothing, so it starts no thread.
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="fransim-slice") as worker:
-        for k in range(0, len(durations), 2):
-            ahead = worker.submit(make, k + 1) if k + 1 < len(durations) else None
-            count(k, make(k))
-            if ahead is not None:
-                count(k + 1, ahead.result())
-    *coinc, singles_start, singles_stop = totals.tolist()
-    return CountSummary.from_counts(duration, singles_start, singles_stop,
-                                    dict(zip(OUTCOMES, coinc)), config.tphc.window_width)
+    summaries = []
+    carry = np.empty(0, np.int64)  # sorted keys of earlier events a later slice may reach
+    totals = np.zeros(len(OUTCOMES) + 2, np.int64)
+    with ThreadPoolExecutor(max_workers=2, thread_name_prefix="fransim-slice") as pool:
+        # One job is made on this thread, below, and starts no thread.
+        ahead = deque(pool.submit(make, job, None) for job in range(2 if n_jobs > 1 else 0))
+        for job in range(n_jobs):
+            keys, alone = ahead.popleft().result() if ahead else make(job, None)
+            k = job % n_slices
+            floor = k * SLICE_PS - margin
+            if len(keys) and keys[0] >> 2 < floor:
+                raise RuntimeError(
+                    f"slice {k} emitted a {CHANNEL_PORTS[keys[0] & 3]} event at "
+                    f"{keys[0] >> 2} ps, before its {floor} ps floor: the {margin} ps "
+                    f"stream margin is too small")
+            buffer = keys.base
+            if len(carry):  # the carry's own pairs and singles were counted with an earlier slice
+                keys = np.insert(keys, np.searchsorted(keys, carry), carry)
+                totals += tally(keys) - tally(carry)
+            else:
+                totals += alone
+            if k + 1 < n_slices:
+                bound = 4 * ((k + 1) * SLICE_PS - margin - reach)
+                # A copy: the key buffer goes to the job two places on.
+                carry = keys[np.searchsorted(keys, bound):].copy()
+            else:
+                *coinc, singles_start, singles_stop = totals.tolist()
+                summaries.append(CountSummary.from_counts(
+                    duration, singles_start, singles_stop, dict(zip(OUTCOMES, coinc)),
+                    config.tphc.window_width))
+                carry, totals = carry[:0], np.zeros_like(totals)
+            if job + 2 < n_jobs:
+                ahead.append(pool.submit(make, job + 2, buffer))
+    return summaries

@@ -1,5 +1,7 @@
 import math
+import threading
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from fransim.analysis import (
 from fransim.config import TphcParams, default_config
 from fransim.events import OUTCOMES, EventStream
 from fransim.quantum import STANDARD_SETTINGS, UndefinedCorrelationError
-from fransim.simulator import emit_event_stream
+from fransim.simulator import emit_event_stream, simulate_setting, simulate_settings
 
 
 def synthetic_points(amp, vis, period, phase, controls, rng=None):
@@ -327,6 +329,19 @@ class TestScanFringe:
         fit = fit_fringe(points, period_hint=2 * math.pi)
         assert abs(fit.visibility - 0.45) < 4 * fit.visibility_sigma
 
+    def test_a_scan_starts_at_most_two_threads(self):
+        # 25 settings of two slices each: one pipeline, not a thread per setting.
+        cfg = clean_config(pair_rate=2e3, seed=40)
+        real_start, started = threading.Thread.start, []
+
+        def counting(thread):
+            started.append(thread.name)
+            return real_start(thread)
+
+        with mock.patch.object(threading.Thread, "start", autospec=True, side_effect=counting):
+            points = scan_fringe(cfg, "phase2", np.linspace(0, 2 * np.pi, 25), 1.5)
+        assert len(points) == 25 and len(started) <= 2, started
+
     def test_shift_invariance_of_fitted_visibility(self):
         cfg = clean_config(pair_rate=2e5, visibility=0.8, seed=28)
         controls = np.linspace(0, 2 * math.pi, 16, endpoint=False)
@@ -415,6 +430,28 @@ class TestChshExperiment:
         mean = np.mean(rates)
         sem = np.std(rates, ddof=1) / math.sqrt(len(rates))
         assert abs(mean - true_rate) < 3 * sem
+
+    @pytest.mark.parametrize("law", ["quantum", "lhv"])
+    def test_counts_equal_each_setting_at_its_seed(self, monkeypatch, law):
+        # 1.5 s settings: a carry must not reach from one setting into the next.
+        cfg = clean_config(pair_rate=3e4, dark_start=2e3, dark_stop=3e3,
+                           jitter_stop=200e-12, seed=21)
+        got = []
+
+        def recording(*args, **kwargs):
+            got.extend(simulate_settings(*args, **kwargs))
+            return got
+
+        monkeypatch.setattr(analysis, "simulate_settings", recording)
+        report = chsh_experiment(cfg, STANDARD_SETTINGS, 1.5, law=law)
+        expected = [simulate_setting(cfg, d1, d2, 1.5, analysis._point_seed(cfg.seed, 1000 + k),
+                                     law=law)
+                    for k, (d1, d2) in enumerate(STANDARD_SETTINGS.pairs())]
+        assert got == expected
+        for e, summary in zip(report.correlations, expected):
+            net = {key: summary.coincidences[key] - summary.accidental_estimate
+                   for key in OUTCOMES}
+            assert e == analysis._counts_to_correlation(net, summary.coincidences)[0]
 
     def test_quantum_sampler_significance_is_positive(self):
         cfg = clean_config(pair_rate=1e5, visibility=0.957)

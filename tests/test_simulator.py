@@ -3,6 +3,7 @@ import re
 import struct
 import sys
 import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -39,6 +40,7 @@ from fransim.simulator import (
     fwhm_to_sigma,
     generate_dark_counts,
     simulate_setting,
+    simulate_settings,
 )
 
 PORTS = ("start_plus", "start_minus", "stop_plus", "stop_minus")
@@ -522,15 +524,15 @@ class TestMonitoredOnly:
         cfg = clean_config(pair_rate=3e4, dark_start=2e3, dark_stop=3e3,
                            jitter_stop=200e-12, seed=17)
         controls = np.linspace(0.0, 2 * math.pi, 5, endpoint=False)
-        flags = []
+        calls = []
 
-        def recording(*args, **kwargs):
-            flags.append(kwargs.get("monitored_only", False))
-            return simulate_setting(*args, **kwargs)
+        def recording(config, settings, duration, **kwargs):
+            calls.append((len(settings), kwargs.get("monitored_only", False)))
+            return simulate_settings(config, settings, duration, **kwargs)
 
-        monkeypatch.setattr(analysis, "simulate_setting", recording)
+        monkeypatch.setattr(analysis, "simulate_settings", recording)
         points = analysis.scan_fringe(cfg, "phase2", controls, 1.5)
-        assert flags == [True] * len(controls)
+        assert calls == [(len(controls), True)]
         for k, (x, point) in enumerate(zip(controls, points)):
             full = simulate_setting(cfg, cfg.analyzer1.phase, x, 1.5,
                                     analysis._point_seed(cfg.seed, k))
@@ -667,24 +669,41 @@ class TestStreamingSlices:
 
         def emit(*args, start, **kwargs):
             stream = real_emit(*args, start=start, **kwargs)
-            made[round(start)] = len(stream.keys)
+            made[int(stream.keys[-1])] = len(stream.keys)  # a slice, by its last key
+            if round(start) % 2:  # late, so the next slice first rewrites the buffer
+                time.sleep(0.05)  # that the carry into this one was cut from
             return stream
 
         def window(stream, tphc):
-            counted.append(len(stream.keys))
+            counted.append((int(stream.keys[-1]), len(stream.keys)))
             return real_window(stream, tphc)
 
         monkeypatch.setattr(simulator, "emit_event_stream", emit)
         monkeypatch.setattr(simulator, "window_coincidences", window)
         got = simulate_setting(cfg, 0.3, 0.1, 4.5, seed)
         assert got == window_coincidences(emit_event_stream(cfg, 0.3, 0.1, 4.5, seed), cfg.tphc)
-        # Each slice is counted alone, or after its carry as the carry merged with it.
-        carries, calls = [], iter(counted)
-        for k in range(len(made)):
-            n = next(calls)
-            carries.append(0 if n == made[k] else n)
-            assert n == made[k] or next(calls) == made[k] + n
-        assert next(calls, None) is None and any(carries), carries
+        # The pool counts in no fixed order. Each slice is counted alone once.
+        # A non-empty carry into the next slice, which ends on the slice's last
+        # key, is counted alone once and once merged with the next slice.
+        assert sorted(call for call in counted if made[call[0]] == call[1]) == sorted(made.items())
+        order = sorted(made)
+        carries = {order[order.index(last) + 1]: n for last, n in counted if n < made[last]}
+        merged = {last: n - made[last] for last, n in counted if n > made[last]}
+        assert len(counted) == len(made) + 2 * len(carries)
+        assert carries == merged and carries, carries
+
+    def test_a_carry_stays_in_its_setting(self, monkeypatch):
+        # Each setting's first slice ends on a pair that is carried into its
+        # second slice; a carry kept into the next setting would pair again.
+        empty = np.empty(0, np.int64)
+
+        def emit(config, d1, d2, duration, seed, *, start=0.0, **kwargs):
+            times = (_ps(SLICE_PS - 10), _ps(SLICE_PS - 5)) if start == 0 else (empty, empty)
+            return EventStream.from_ports(duration, times[0], empty, times[1], empty)
+
+        monkeypatch.setattr(simulator, "emit_event_stream", emit)
+        got = simulate_settings(clean_config(), [(0.0, 0.0, 1), (0.0, 0.0, 2)], 2.0)
+        assert [summary.coincidences[(1, 1)] for summary in got] == [1, 1]
 
     def test_event_before_the_margin_raises(self, monkeypatch):
         real_emit = simulator.emit_event_stream
@@ -746,21 +765,27 @@ class TestStreamingSlices:
 
 
 class TestSliceThreads:
-    """simulate_setting makes every odd slice on a worker thread."""
+    """simulate_settings makes and counts the slices of every setting on two
+    pool threads, at most two slices at a time, and takes them in order."""
 
     @pytest.mark.parametrize("failing", [2, 3])
     def test_a_slice_error_reaches_the_caller_and_the_worker_ends(self, monkeypatch, failing):
         real_emit = simulator.emit_event_stream
 
-        def emit(*args, start=0.0, **kwargs):
-            if start == failing:
+        def emit(config, d1, d2, duration, seed, *, start=0.0, **kwargs):
+            if (seed, start) == (1, failing):
                 raise ArithmeticError(f"slice {failing}")
-            return real_emit(*args, start=start, **kwargs)
+            return real_emit(config, d1, d2, duration, seed, start=start, **kwargs)
 
         monkeypatch.setattr(simulator, "emit_event_stream", emit)
+        cfg = clean_config(pair_rate=1e4, dark_stop=1e3)
         threads = threading.active_count()
         with pytest.raises(ArithmeticError, match=f"slice {failing}"):
-            simulate_setting(clean_config(pair_rate=1e4, dark_stop=1e3), 0.0, 0.0, 4.0, 1)
+            simulate_setting(cfg, 0.0, 0.0, 4.0, 1)
+        assert threading.active_count() == threads
+        # The failing slice belongs to the second setting, after the first was taken.
+        with pytest.raises(ArithmeticError, match=f"slice {failing}"):
+            simulate_settings(cfg, [(0.0, 0.0, 2), (0.3, 0.1, 1)], 4.0)
         assert threading.active_count() == threads
 
     def test_concurrent_callers_get_their_own_counts(self):
