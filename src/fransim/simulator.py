@@ -83,9 +83,11 @@ def _slice_keys(config: ExperimentConfig, probs: np.ndarray, t0_ps: int, dur: fl
     without ``out`` that array is sized from the expected event count plus 9
     of its standard deviations, and a block that does not fit grows it.
 
-    With ``monitored_only`` the blocks of the - ports (channels 2 and 3) are
-    still drawn, in the same order, but not packed: the keys are exactly the
-    + port keys of the full slice, ``full[(full & 2) == 0]``.
+    With ``monitored_only`` the + port keys alone are packed. The stop -
+    block (channel 3) is drawn last, so a monitored slice stops before it;
+    the start - block is still drawn but not packed. Every draw made is the
+    full slice's, in the same order, so the keys are exactly the + port keys
+    of the full slice, ``full[(full & 2) == 0]``.
     """
     src = config.source
     end_ps = t0_ps + max(1, round(dur / PS))  # a sub-ps last slice keeps one grid point
@@ -122,6 +124,8 @@ def _slice_keys(config: ExperimentConfig, probs: np.ndarray, t0_ps: int, dur: fl
         both_time = emission + delay * (cells >> arm_bit & 1)
         both_port = cells >> port_bit & 1
         for port in (0, 2):
+            if monitored_only and side | port == 3:
+                break  # the stop - block is drawn last: nothing may draw after it
             one_time = rng.integers(t0_ps, end_ps, rng.poisson(mean_one / 2))
             # The times are i.i.d., so taking the first Binomial(n, 1/2) of
             # them as the long-arm ones is the same law as a coin per event.
@@ -165,8 +169,9 @@ def emit_event_stream(config: ExperimentConfig, d1: float, d2: float, duration: 
     stream's keys are a view of it; a smaller one is replaced by a new array.
     ``law`` names the law of pairs detected on both sides in
     :data:`fransim.quantum.PAIR_LAWS`. With ``monitored_only`` the record
-    holds the + ports alone: every event is still drawn, so it is exactly the
-    + subset of the full record of the same (config, seed).
+    holds the + ports alone. Each slice draws the stop - block last and stops
+    before it, and every earlier draw is the full record's, so the record is
+    exactly the + subset of the full record of the same (config, seed).
     """
     first, rest = divmod(start, SLICE_SECONDS)
     if not start >= 0 or rest:

@@ -520,6 +520,26 @@ class TestMonitoredOnly:
         assert [part.coincidences[key] for key in OUTCOMES[1:]] == [0, 0, 0]
         assert part == window_coincidences(plus, cfg.tphc)
 
+    def test_a_monitored_slice_skips_the_stop_minus_draws(self, monkeypatch):
+        cfg = clean_config(pair_rate=2e4, dark_start=1e3, dark_stop=2e3, jitter_stop=200e-12)
+        darks, jitters = [], []
+
+        def dark(rate, *args):
+            darks.append(rate)
+            return generate_dark_counts(rate, *args)
+
+        def jitter(times, det, rng):
+            jitters.append(det.dark_rate)
+            return apply_jitter(times, det, rng)
+
+        monkeypatch.setattr(simulator, "generate_dark_counts", dark)
+        monkeypatch.setattr(simulator, "apply_jitter", jitter)
+        for monitored, rates in ((True, [1e3, 1e3, 2e3]), (False, [1e3, 1e3, 2e3, 2e3])):
+            darks.clear()
+            jitters.clear()
+            emit_event_stream(cfg, 0.3, 0.2, 1.0, 5, monitored_only=monitored)
+            assert darks == jitters == rates  # start +, start -, stop + (, stop -)
+
     def test_scan_equals_full_settings_at_the_point_seeds(self, monkeypatch):
         cfg = clean_config(pair_rate=3e4, dark_start=2e3, dark_stop=3e3,
                            jitter_stop=200e-12, seed=17)
