@@ -200,18 +200,16 @@ def curve_fit(f, x, y, p0, sigma, jac):
     return p, cov / np.outer(scale, scale)
 
 
-def fit_fringe(points: Sequence[FringePoint],
-               period_hint: Optional[float] = None) -> FringeFit:
+def fit_fringe(points: Sequence[FringePoint], period_hint: float) -> FringeFit:
     """Weighted nonlinear least squares of net = A*(1 + V*cos(2*pi*x/T + phi)).
 
     Weights start from Poisson errors on the raw counts (sqrt(raw), floored at
     raw = 1); after the first convergence the fit is repeated once with
     model-based weights (sqrt of the fitted expected raw count), which removes
     the low-count bias of weighting by observed fluctuations. The period is
-    seeded from period_hint when given, otherwise from a coarse grid over the
-    scan span, and the level, visibility and phase by the weighted linear
-    least-squares fit at that period. Degenerate
-    (all-equal) data yields a flat fit with V = 0.
+    seeded from period_hint, the scan axis's known period, and the level,
+    visibility and phase by the weighted linear least-squares fit at that
+    period. Degenerate (all-equal) data yields a flat fit with V = 0.
     """
     if len(points) < 5:
         raise ValueError(f"need at least 5 points to fit, got {len(points)}")
@@ -226,25 +224,14 @@ def fit_fringe(points: Sequence[FringePoint],
     if np.allclose(y, y[0]):
         return FringeFit(mean_level=float(y.mean()), visibility=0.0,
                          visibility_sigma=0.0, phase0=0.0,
-                         period=period_hint or float(np.ptp(x) or 1.0), goodness=0.0)
-
-    if period_hint is not None:
-        periods = [period_hint]
-    else:
-        periods = list(float(np.ptp(x)) / np.arange(0.5, 8.5, 0.25))
+                         period=float(period_hint), goodness=0.0)
 
     # Seed: at a fixed period the model A + A·V·cos(phi)·cos kx - A·V·sin(phi)·sin kx
-    # is linear, so weighted linear least squares solves it at each candidate
-    # period; the period with the smallest cost keeps the fit out of bad basins.
-    seeds = []
-    for period in periods:
-        k = 2.0 * np.pi / period
-        basis = np.column_stack([np.ones_like(x), np.cos(k * x), np.sin(k * x)]) / sigma[:, None]
-        coef = np.linalg.lstsq(basis, y / sigma, rcond=None)[0]
-        resid = basis @ coef - y / sigma
-        seeds.append((float(resid @ resid), period, *coef))
-    _, period, a, b, c = min(seeds, key=lambda seed: seed[0])
-    p0 = (a, math.hypot(b, c) / a, math.atan2(-c, b), period)
+    # is linear, so weighted linear least squares solves it at period_hint.
+    k = 2.0 * np.pi / period_hint
+    basis = np.column_stack([np.ones_like(x), np.cos(k * x), np.sin(k * x)]) / sigma[:, None]
+    a, b, c = np.linalg.lstsq(basis, y / sigma, rcond=None)[0]
+    p0 = (a, math.hypot(b, c) / a, math.atan2(-c, b), period_hint)
     try:
         popt, pcov = curve_fit(_sine, x, y, p0=p0, sigma=sigma, jac=_sine_jac)
     except RuntimeError as exc:

@@ -79,12 +79,15 @@ def cmd_simulate(args) -> int:
 
 def cmd_scan(args) -> int:
     cfg = _load(args)
-    controls = np.linspace(0.0, args.span, args.points)
+    mirror = args.axis == "mirror1"
+    span = args.span
+    if span is None:  # a phase scan sweeps the phase the mirror default sweeps on d1
+        span = DEFAULT_SCAN_SPAN if mirror else 4.0 * math.pi * DEFAULT_SCAN_SPAN / cfg.wavelength1
+    controls = np.linspace(0.0, span, args.points)
     points = scan_fringe(cfg, args.axis, controls, args.dwell)
     _save(args, cfg, "scan", fringe_csv(points, cfg, args.dwell), dwell=args.dwell,
-          points=args.points, axis=args.axis, span=args.span)
-    hint = cfg.wavelength1 / 2 if args.axis == "mirror1" else 2 * math.pi
-    fit = fit_fringe(points, period_hint=hint)
+          points=args.points, axis=args.axis, span=span)
+    fit = fit_fringe(points, period_hint=cfg.wavelength1 / 2 if mirror else 2 * math.pi)
     if not args.quiet:
         print(f"fitted visibility = {fit.visibility:.4f} +- {fit.visibility_sigma:.4f}, "
               f"period = {fit.period:.4g}", file=sys.stderr)
@@ -154,8 +157,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--out", required=True)
     p.add_argument("--points", type=int, default=25)
-    p.add_argument("--span", type=float, default=DEFAULT_SCAN_SPAN,
-                   help="scan span (m for mirror1, rad for phase2)")
+    p.add_argument("--span", type=float,
+                   help=f"scan span: m for mirror1 (default {DEFAULT_SCAN_SPAN}), rad for "
+                        f"phase2 (default 4*pi*{DEFAULT_SCAN_SPAN}/wavelength1, the phase "
+                        "the mirror default sweeps: 10.71 at 704 nm)")
     p.add_argument("--axis", choices=("mirror1", "phase2"), default="mirror1")
     p.set_defaults(func=cmd_scan)
 

@@ -132,6 +132,20 @@ class TestCli:
         assert "control,raw,accidentals,net" in text
         assert (tmp_path / "scan.csv.manifest").exists()
 
+    def test_phase_scan_defaults_to_the_phase_the_mirror_default_sweeps(self, tmp_path,
+                                                                         capsys):
+        # The default mirror span moves d1 by 4*pi*span/wavelength1: a phase
+        # scan sweeps that many radians, not the mirror span's 6e-7.
+        cfg, out = default_config(), tmp_path / "phase.csv"
+        rc = main(["scan", "--axis", "phase2", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 0, err
+        last = out.read_text().splitlines()[-1]
+        assert float(last.split(",")[0]) == pytest.approx(4 * math.pi * 600e-9 / cfg.wavelength1,
+                                                          rel=1e-12)
+        vis, sigma = map(float, re.search(r"fitted visibility = (\S+) \+- (\S+),", err).groups())
+        assert abs(vis - cfg.visibility) <= 4 * sigma
+
     def test_scan_with_too_few_points_fails(self, small_config, tmp_path, capsys):
         rc = main(["scan", "--config", str(small_config), "--points", "0",
                    "--out", str(tmp_path / "x.csv")])
