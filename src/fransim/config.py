@@ -175,7 +175,9 @@ _UNIT_SCALE = {
     "rad": 1.0,
 }
 
-_QTY_RE = re.compile(r"^\s*([-+]?[0-9.]+(?:[eE][-+]?[0-9]+)?)\s*([a-zA-Z]*)\s*$")
+# One float literal (digits with at most one point, at least one digit), then a unit.
+_QTY_RE = re.compile(r"^\s*([-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?)"
+                     r"\s*([a-zA-Z]*)\s*$")
 
 
 def parse_quantity(text: str, key: str = "value") -> float:

@@ -79,15 +79,14 @@ def _slice_keys(config: ExperimentConfig, probs: np.ndarray, t0_ps: int, dur: fl
     Times are drawn uniformly on the 1 ps grid of the slice, from ``t0_ps``;
     the path delay and the centre offset are rounded to whole ps, and so is
     the jitter. Every stop event, dark counts included, is moved by the
-    centre offset. Each block is packed into one key array as it is drawn;
+    centre offset. The port blocks are drawn in channel order (0-3: start +,
+    stop +, start -, stop -), each packed into one key array as it is drawn;
     without ``out`` that array is sized from the expected event count plus 9
     of its standard deviations, and a block that does not fit grows it.
 
-    With ``monitored_only`` the + port keys alone are packed. The stop -
-    block (channel 3) is drawn last, so a monitored slice stops before it;
-    the start - block is still drawn but not packed. Every draw made is the
-    full slice's, in the same order, so the keys are exactly the + port keys
-    of the full slice, ``full[(full & 2) == 0]``.
+    With ``monitored_only`` the slice stops after the two + blocks. They come
+    first in every slice, so the keys are exactly the + port keys of the full
+    slice, ``full[(full & 2) == 0]``.
     """
     src = config.source
     end_ps = t0_ps + max(1, round(dur / PS))  # a sub-ps last slice keeps one grid point
@@ -105,8 +104,6 @@ def _slice_keys(config: ExperimentConfig, probs: np.ndarray, t0_ps: int, dur: fl
 
     def put(times, channel):
         nonlocal keys, end
-        if monitored_only and channel & 2:
-            return
         if end + len(times) > len(keys):
             keys = np.concatenate([keys[:end], np.empty(max(len(times), len(keys)), np.int64)])
         if center and channel & 1:
@@ -117,22 +114,19 @@ def _slice_keys(config: ExperimentConfig, probs: np.ndarray, t0_ps: int, dur: fl
     n_both = rng.poisson(split * eta1 * eta2)
     emission = rng.integers(t0_ps, end_ps, n_both)
     cells = rng.choice(16, n_both, p=probs)  # bits: start arm, stop arm, start port, stop port
-
-    for side, det, arm_bit, port_bit, mean_one in (
-            (0, config.detector_start, 3, 1, split * eta1 * (1.0 - eta2)),
-            (1, config.detector_stop, 2, 0, split * (1.0 - eta1) * eta2)):
-        both_time = emission + delay * (cells >> arm_bit & 1)
-        both_port = cells >> port_bit & 1
-        for port in (0, 2):
-            if monitored_only and side | port == 3:
-                break  # the stop - block is drawn last: nothing may draw after it
-            one_time = rng.integers(t0_ps, end_ps, rng.poisson(mean_one / 2))
-            # The times are i.i.d., so taking the first Binomial(n, 1/2) of
-            # them as the long-arm ones is the same law as a coin per event.
-            one_time[:rng.binomial(len(one_time), 0.5)] += delay
-            times = np.concatenate([both_time[both_port == port >> 1], one_time])
-            put(apply_jitter(times, det, rng), side | port)
-            put(generate_dark_counts(det.dark_rate, dur, rng, t0_ps), side | port)
+    sides = ((config.detector_start, 3, 1, split * eta1 * (1.0 - eta2)),
+             (config.detector_stop, 2, 0, split * (1.0 - eta1) * eta2))
+    for channel in range(2 if monitored_only else 4):
+        det, arm_bit, port_bit, mean_one = sides[channel & 1]
+        both = (cells >> port_bit & 1) == channel >> 1
+        both_time = emission[both] + delay * (cells[both] >> arm_bit & 1)
+        one_time = rng.integers(t0_ps, end_ps, rng.poisson(mean_one / 2))
+        # The times are i.i.d., so taking the first Binomial(n, 1/2) of
+        # them as the long-arm ones is the same law as a coin per event.
+        one_time[:rng.binomial(len(one_time), 0.5)] += delay
+        times = np.concatenate([both_time, one_time])
+        put(apply_jitter(times, det, rng), channel)
+        put(generate_dark_counts(det.dark_rate, dur, rng, t0_ps), channel)
     keys = keys[:end]
     keys.sort()
     return keys
@@ -169,9 +163,10 @@ def emit_event_stream(config: ExperimentConfig, d1: float, d2: float, duration: 
     stream's keys are a view of it; a smaller one is replaced by a new array.
     ``law`` names the law of pairs detected on both sides in
     :data:`fransim.quantum.PAIR_LAWS`. With ``monitored_only`` the record
-    holds the + ports alone. Each slice draws the stop - block last and stops
-    before it, and every earlier draw is the full record's, so the record is
-    exactly the + subset of the full record of the same (config, seed).
+    holds the + ports alone. Each slice draws its port blocks in channel
+    order and stops after the two + blocks, which are the full slice's first
+    two, so the record is exactly the + subset of the full record of the same
+    (config, seed).
     """
     first, rest = divmod(start, SLICE_SECONDS)
     if not start >= 0 or rest:
@@ -201,12 +196,10 @@ def emit_event_stream(config: ExperimentConfig, d1: float, d2: float, duration: 
 
 
 def simulate_setting(config: ExperimentConfig, d1: float, d2: float,
-                     duration: float, seed: int, *, law: str = "quantum",
-                     monitored_only: bool = False) -> CountSummary:
+                     duration: float, seed: int) -> CountSummary:
     """Simulate one phase setting and window-discriminate the coincidences:
     :func:`simulate_settings` of the one setting ``(d1, d2, seed)``."""
-    return simulate_settings(config, [(d1, d2, seed)], duration, law=law,
-                             monitored_only=monitored_only)[0]
+    return simulate_settings(config, [(d1, d2, seed)], duration)[0]
 
 
 def simulate_settings(config: ExperimentConfig, settings: Sequence[tuple[float, float, int]],

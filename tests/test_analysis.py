@@ -21,7 +21,7 @@ from fransim.analysis import (
 from fransim.config import TphcParams, default_config
 from fransim.events import OUTCOMES, EventStream
 from fransim.quantum import STANDARD_SETTINGS, UndefinedCorrelationError
-from fransim.simulator import emit_event_stream, simulate_setting, simulate_settings
+from fransim.simulator import emit_event_stream, simulate_settings
 
 
 def synthetic_points(amp, vis, period, phase, controls, rng=None):
@@ -436,8 +436,8 @@ class TestChshExperiment:
 
         monkeypatch.setattr(analysis, "simulate_settings", recording)
         report = chsh_experiment(cfg, STANDARD_SETTINGS, 1.5, law=law)
-        expected = [simulate_setting(cfg, d1, d2, 1.5, analysis._point_seed(cfg.seed, 1000 + k),
-                                     law=law)
+        expected = [simulate_settings(cfg, [(d1, d2, analysis._point_seed(cfg.seed, 1000 + k))],
+                                      1.5, law=law)[0]
                     for k, (d1, d2) in enumerate(STANDARD_SETTINGS.pairs())]
         assert got == expected
         for e, summary in zip(report.correlations, expected):

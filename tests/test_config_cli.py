@@ -34,6 +34,11 @@ class TestQuantities:
         with pytest.raises(ConfigError, match="unknown unit"):
             parse_quantity("3 furlongs")
 
+    @pytest.mark.parametrize("text", ["1.2.3 ns", "."])
+    def test_malformed_number_names_the_key(self, text):
+        with pytest.raises(ConfigError, match="tphc.window_width: cannot parse quantity"):
+            parse_quantity(text, "tphc.window_width")
+
 
 class TestConfigFile:
     def test_empty_file_gives_defaults(self, tmp_path):

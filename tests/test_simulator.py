@@ -511,8 +511,9 @@ class TestMonitoredOnly:
         plus = emit_event_stream(cfg, d1, 0.2, duration, seed, law=law, monitored_only=True)
         np.testing.assert_array_equal(plus.keys, full.keys[(full.keys & 2) == 0])
 
-        whole = simulate_setting(cfg, d1, 0.2, duration, seed, law=law)
-        part = simulate_setting(cfg, d1, 0.2, duration, seed, law=law, monitored_only=True)
+        whole = simulate_settings(cfg, [(d1, 0.2, seed)], duration, law=law)[0]
+        part = simulate_settings(cfg, [(d1, 0.2, seed)], duration, law=law,
+                                 monitored_only=True)[0]
         assert (part.singles_start, part.singles_stop, part.coincidences[(1, 1)],
                 part.accidental_estimate) == (whole.singles_start, whole.singles_stop,
                                               whole.coincidences[(1, 1)],
@@ -520,7 +521,7 @@ class TestMonitoredOnly:
         assert [part.coincidences[key] for key in OUTCOMES[1:]] == [0, 0, 0]
         assert part == window_coincidences(plus, cfg.tphc)
 
-    def test_a_monitored_slice_skips_the_stop_minus_draws(self, monkeypatch):
+    def test_a_monitored_slice_draws_the_plus_blocks_alone(self, monkeypatch):
         cfg = clean_config(pair_rate=2e4, dark_start=1e3, dark_stop=2e3, jitter_stop=200e-12)
         darks, jitters = [], []
 
@@ -534,11 +535,11 @@ class TestMonitoredOnly:
 
         monkeypatch.setattr(simulator, "generate_dark_counts", dark)
         monkeypatch.setattr(simulator, "apply_jitter", jitter)
-        for monitored, rates in ((True, [1e3, 1e3, 2e3]), (False, [1e3, 1e3, 2e3, 2e3])):
+        for monitored, rates in ((True, [1e3, 2e3]), (False, [1e3, 2e3, 1e3, 2e3])):
             darks.clear()
             jitters.clear()
             emit_event_stream(cfg, 0.3, 0.2, 1.0, 5, monitored_only=monitored)
-            assert darks == jitters == rates  # start +, start -, stop + (, stop -)
+            assert darks == jitters == rates  # start +, stop + (, start -, stop -)
 
     def test_scan_equals_full_settings_at_the_point_seeds(self, monkeypatch):
         cfg = clean_config(pair_rate=3e4, dark_start=2e3, dark_stop=3e3,
