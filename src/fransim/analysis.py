@@ -155,10 +155,12 @@ def curve_fit(f, x, y, p0, sigma, jac):
     residuals are at the rounding level of y.
 
     Returns (popt, pcov), pcov being the covariance with sigma taken as
-    absolute (scipy's absolute_sigma=True), from the same scaled SVD with
-    singular values below eps * max(m, n) * s_max dropped, as curve_fit does.
-    Raises ValueError for non-finite input and RuntimeError when no step
-    lowers the cost or after _MAX_TRIALS trial steps.
+    absolute (scipy's absolute_sigma=True), from the same scaled SVD. A
+    singular value below eps * max(m, n) * s_max means the data do not fix
+    every parameter; scipy's curve_fit drops it and understates the errors,
+    here pcov is then all inf. Raises ValueError for non-finite input and
+    RuntimeError when no step lowers the cost or after _MAX_TRIALS trial
+    steps.
     """
     x, y, sigma, p = (np.asarray(a, dtype=float) for a in (x, y, sigma, p0))
     if not all(np.isfinite(a).all() for a in (x, y, sigma, p)):
@@ -195,8 +197,9 @@ def curve_fit(f, x, y, p0, sigma, jac):
             lam *= 10.0
     else:
         raise RuntimeError(f"no convergence in {_MAX_TRIALS} trial steps")
-    keep = s > _EPS * max(j.shape) * s[0]
-    cov = (vt[keep].T / s[keep] ** 2) @ vt[keep]
+    if s[-1] <= _EPS * max(j.shape) * s[0]:
+        return p, np.full((len(p), len(p)), np.inf)
+    cov = (vt.T / s ** 2) @ vt
     return p, cov / np.outer(scale, scale)
 
 
@@ -209,7 +212,10 @@ def fit_fringe(points: Sequence[FringePoint], period_hint: float) -> FringeFit:
     the low-count bias of weighting by observed fluctuations. The period is
     seeded from period_hint, the scan axis's known period, and the level,
     visibility and phase by the weighted linear least-squares fit at that
-    period. Degenerate (all-equal) data yields a flat fit with V = 0.
+    period. Degenerate (all-equal) data yields a flat fit with V = 0. A fit
+    whose scan spans less than half of its fitted period, or whose data do
+    not fix every parameter (see :func:`curve_fit`), raises ``FitError``:
+    its level and visibility are not told apart.
     """
     if len(points) < 5:
         raise ValueError(f"need at least 5 points to fit, got {len(points)}")
@@ -247,6 +253,11 @@ def fit_fringe(points: Sequence[FringePoint], period_hint: float) -> FringeFit:
         pass  # keep the raw-weighted solution
 
     mean, vis, phase0, period = popt
+    span = float(np.ptp(x))
+    if span < abs(period) / 2 or not np.isfinite(pcov).all():
+        raise FitError(f"the fringe is not resolved: the scan spans {span:.4g}, "
+                       f"{span / abs(period):.3g} of the fitted period {abs(period):.4g}, "
+                       f"too little to tell the level from the visibility")
     vis_sigma = float(np.sqrt(pcov[1, 1]))
     if vis < 0:  # flip into the V >= 0 convention
         vis, phase0 = -vis, phase0 + math.pi

@@ -61,10 +61,14 @@ class EventStream:
     (see :func:`pack_keys`).
 
     The four ports are views computed on demand, ``keys[(keys & 3) == c] >> 2``.
+    A stream made for counting alone may leave stop + events without a
+    position: ``unplaced_stop_plus`` counts them, :func:`window_coincidences`
+    adds them to the stop singles, and such a stream is not a record.
     """
 
     duration: float
     keys: np.ndarray
+    unplaced_stop_plus: int = 0
 
     start_plus = _port(CH_START_PLUS)
     stop_plus = _port(CH_STOP_PLUS)
@@ -83,6 +87,7 @@ class EventStream:
     def to_records(self) -> np.ndarray:
         """Structured array of (channel, time_ps) records, ordered by time and,
         at equal times, by channel byte (see :func:`_encode`)."""
+        self._check_placed()
         records = np.empty(len(self.keys), dtype=RECORD_DTYPE)
         _encode(self.keys, records)
         return records
@@ -98,6 +103,7 @@ class EventStream:
     def write(self, path) -> None:
         """Write the FRSN v1 file: the magic, the version byte, then the
         records, encoded :data:`_CHUNK` at a time into one reused buffer."""
+        self._check_placed()
         buffer = np.empty(min(_CHUNK, len(self.keys)), dtype=RECORD_DTYPE)
         with open(path, "wb") as fh:
             fh.write(MAGIC)
@@ -106,6 +112,11 @@ class EventStream:
                 keys = self.keys[begin:begin + _CHUNK]
                 _encode(keys, buffer[:len(keys)])
                 fh.write(buffer[:len(keys)])
+
+    def _check_placed(self) -> None:
+        if self.unplaced_stop_plus:
+            raise ValueError(f"the stream holds no position for {self.unplaced_stop_plus} "
+                             f"stop + events: it was made for counting, not as a record")
 
     @classmethod
     def read(cls, path, duration: float) -> "EventStream":
@@ -298,6 +309,7 @@ def window_coincidences(stream: EventStream, tphc: TphcParams,
                         path_delay: float | None = None) -> CountSummary:
     """Count start-stop pairs with |dt - center_offset| <= window_width / 2 per
     output-port pairing, plus monitored singles and the accidental estimate.
+    The stream's unplaced stop + events count as stop singles.
 
     The centre offset, rounded to whole ps, is taken away from every stop
     before pairing, in one pass over one copy of the keys that one stable
@@ -319,6 +331,7 @@ def window_coincidences(stream: EventStream, tphc: TphcParams,
                                   casting="unsafe")
         singles_start += int(np.count_nonzero(channels == CH_START_PLUS))
         singles_stop += int(np.count_nonzero(channels == CH_STOP_PLUS))
+    singles_stop += stream.unplaced_stop_plus
     coinc = dict.fromkeys(OUTCOMES, 0)
     if tphc.window_width > 0:
         center = round(tphc.center_offset / PS)

@@ -157,6 +157,22 @@ class TestFitFringe:
         with pytest.raises(ValueError):
             fit_fringe([FringePoint(0.0, 1, 0.0, 1.0)] * 4, period_hint=352e-9)
 
+    def test_a_scan_shorter_than_half_a_period_is_not_resolved(self):
+        # 9 points over 1e-7 of a 2 pi fringe lie on a parabola, which a
+        # huge level and V = 1 fit as well as any other.
+        rng = np.random.default_rng(3)
+        points = synthetic_points(60.0, 0.957, 2 * math.pi, 0.3, np.linspace(0, 6e-7, 9), rng)
+        with pytest.raises(analysis.FitError, match=r"scan spans 6e-07, .* of the fitted period"):
+            fit_fringe(points, period_hint=2 * math.pi)
+
+    def test_solver_marks_a_parameter_the_data_do_not_fix(self):
+        # Only a + b enters the model: its covariance is unbounded.
+        x, y = np.linspace(0, 1, 6), np.full(6, 3.0)
+        popt, pcov = analysis.curve_fit(lambda x, a, b: np.full_like(x, a + b), x, y,
+                                        p0=[1.0, 1.0], sigma=np.ones(6),
+                                        jac=lambda x, a, b: np.ones((len(x), 2)))
+        assert popt.sum() == pytest.approx(3.0) and np.isinf(pcov).all()
+
     def test_poisson_replicates_are_unbiased(self):
         rng = np.random.default_rng(24)
         controls = np.linspace(0, 600e-9, 25)

@@ -157,6 +157,13 @@ class TestCli:
         assert rc != 0
         assert "error" in capsys.readouterr().err
 
+    def test_scan_far_shorter_than_the_fringe_fails_its_fit(self, tmp_path, capsys):
+        # 6e-7 rad of a 2 pi fringe: the fit used to print V = 1.0000 +- 0.0000.
+        rc = main(["scan", "--axis", "phase2", "--span", "6e-7", "--points", "9",
+                   "--dwell", "0.5", "--seed", "3", "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert "the fringe is not resolved" in capsys.readouterr().err
+
     def test_bad_config_reports_on_stderr(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("nonsense = 1\n")
