@@ -68,7 +68,6 @@ class DetectorParams:
 @dataclass
 class TphcParams:
     window_width: float = field(default=350e-12, metadata=QTY)  # s
-    center_offset: float = field(default=0.0, metadata=QTY)  # s, calibrated central-peak position
 
 
 @dataclass
@@ -153,10 +152,6 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         f"must be smaller than the {cfg.analyzer1.path_delay} s path delay "
         "so the side peaks are excluded",
     )
-    reach = abs(cfg.tphc.center_offset) + cfg.tphc.window_width / 2
-    _require(reach <= SLICE_SECONDS, "tphc.center_offset",
-             f"the window's reach |center_offset| + window_width/2 must fit in one "
-             f"{SLICE_SECONDS} s slice, got {reach} s")
     _require(cfg.wavelength1 > 0, "wavelength1", "must be > 0")
     _check_prob(cfg.visibility, "visibility")
     _require(isinstance(cfg.seed, int) and cfg.seed >= 0, "seed", "must be a non-negative integer")

@@ -307,16 +307,11 @@ def pairing_counts(keys: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> n
 
 def window_coincidences(stream: EventStream, tphc: TphcParams,
                         path_delay: float | None = None) -> CountSummary:
-    """Count start-stop pairs with |dt - center_offset| <= window_width / 2 per
-    output-port pairing, plus monitored singles and the accidental estimate.
-    The stream's unplaced stop + events count as stop singles.
-
-    The centre offset, rounded to whole ps, is taken away from every stop
-    before pairing, in one pass over one copy of the keys that one stable
-    sort puts back in order. So the pairing walk reaches the half-width
-    alone, whatever the offset.
-    A window at least as wide as the interferometer path delay no longer
-    rejects the side peaks; that is reported as a warning, not an error.
+    """Count start-stop pairs with |dt| <= window_width / 2 per output-port
+    pairing, plus monitored singles and the accidental estimate. The
+    stream's unplaced stop + events count as stop singles. A window at
+    least as wide as the interferometer path delay no longer rejects the
+    side peaks; that is reported as a warning, not an error.
     """
     if path_delay is not None and tphc.window_width >= path_delay:
         warnings.warn(
@@ -334,12 +329,6 @@ def window_coincidences(stream: EventStream, tphc: TphcParams,
     singles_stop += stream.unplaced_stop_plus
     coinc = dict.fromkeys(OUTCOMES, 0)
     if tphc.window_width > 0:
-        center = round(tphc.center_offset / PS)
-        if center:
-            shifted = keys & 1
-            shifted *= -4 * center
-            keys = np.add(shifted, keys, out=shifted)
-            keys.sort(kind="stable")  # a timsort, fast on the nearly sorted keys
         counts = pairing_counts(keys, *pair_positions(keys, round(tphc.window_width / 2 / PS)))
         coinc = dict(zip(OUTCOMES, counts.tolist()))
     return CountSummary.from_counts(stream.duration, singles_start, singles_stop,

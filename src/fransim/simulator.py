@@ -12,7 +12,7 @@ import math
 from collections import deque
 from contextlib import closing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -28,7 +28,6 @@ from .events import (
     _CHUNK,
     CountSummary,
     EventStream,
-    _check_packable,
     pack_into,
     pair_positions,
     window_coincidences,
@@ -225,11 +224,9 @@ def _slice_keys(config: ExperimentConfig, probs: np.ndarray, t0_ps: int, dur: fl
     per pair from the 16 cell probabilities ``probs`` (see
     :func:`fransim.quantum.cell_law`); one-sided events take its marginals,
     which every pair law shares: a uniform port and the long arm with prob. 1/2.
-    Times are drawn uniformly on the 1 ps grid of the slice, from ``t0_ps``;
-    the path delay and the centre offset are rounded to whole ps, and so is
-    the jitter. Every stop event, dark counts included, is moved by the
-    centre offset, last. The port blocks are drawn in channel order (0-3:
-    start +, stop +, start -, stop -), from ``rng`` alone.
+    Times are drawn uniformly on the 1 ps grid from ``t0_ps``, and the path
+    delay and the jitter are rounded to whole ps. The port blocks are drawn
+    from ``rng`` alone, in channel order: start +, stop +, start -, stop -.
 
     A stop block's dark counts are drawn by :func:`generate_dark_counts`
     with the windows of the starts drawn before it, whose block keys are
@@ -259,7 +256,6 @@ def _slice_keys(config: ExperimentConfig, probs: np.ndarray, t0_ps: int, dur: fl
     src = config.source
     end_ps = t0_ps + max(1, round(dur / PS))  # a sub-ps last slice keeps one grid point
     delay = round(config.analyzer1.path_delay / PS)
-    center = round(config.tphc.center_offset / PS)
     half = round(config.tphc.window_width / 2 / PS)
     band = half + delay + math.ceil(JITTER_SIGMAS * fwhm_to_sigma(
         config.detector_start.jitter_fwhm) / PS) + 1
@@ -331,10 +327,6 @@ def _slice_keys(config: ExperimentConfig, probs: np.ndarray, t0_ps: int, dur: fl
         moved = np.count_nonzero(keys[drop] & 3 == CH_STOP_PLUS)
         redrawn = _redraw(moved, plus, rng.spawn(1)[0]) * 4 + CH_STOP_PLUS
         keys = keys[:_mend(keys, drop, np.sort(redrawn))]
-    if center:  # the stop delay, a relabel the window takes away again
-        _check_packable((keys[(keys & 1) == 1] >> 2) + center, "on the stop channels")
-        keys += (keys & 1) * (4 * center)
-        keys.sort(kind="stable")
     return keys, unplaced
 
 
@@ -485,15 +477,11 @@ def simulate_settings(config: ExperimentConfig, settings: Sequence[tuple[float, 
     Counts and singles equal ``window_coincidences`` on the whole-run
     :func:`emit_event_stream` record of the setting, and the accidental
     estimate comes once from the singles totals, the estimator the
-    whole-stream path uses. The centre offset moves every stop event and the
-    window takes it away again, so the slices are made and counted with it
-    set to 0, after the config as given is validated; nothing here depends
-    on it. With ``monitored_only`` only the + ports are made and counted (see
-    :func:`emit_event_stream`, same flag), and pairings with a - port read 0.
+    whole-stream path uses. With ``monitored_only`` only the + ports are made
+    and counted (see :func:`emit_event_stream`); pairings with a - port read 0.
     """
     durations = _slice_durations(0, duration)
     validate_config(config)
-    config = replace(config, tphc=replace(config.tphc, center_offset=0.0))
     reach = round(config.tphc.window_width / 2 / PS)
     sigma = fwhm_to_sigma(max(config.detector_start.jitter_fwhm,
                               config.detector_stop.jitter_fwhm))

@@ -9,6 +9,7 @@ from fransim.config import (
     SourceParams,
     TphcParams,
 )
+from fransim.events import PS, EventStream
 
 
 def clean_config(pair_rate=1e5, visibility=0.957, window=350e-12,
@@ -32,3 +33,11 @@ def clean_config(pair_rate=1e5, visibility=0.957, window=350e-12,
 def side_times(stream, side):
     """Sorted ps times of both ports of one side, "start" or "stop"."""
     return np.sort(np.concatenate([stream.port(side, 1), stream.port(side, -1)]))
+
+
+def stops_moved(stream, offset):
+    """``stream`` with every stop event moved by ``-offset`` seconds, rounded
+    to whole ps, so a window centred on 0 counts the peak at ``offset``."""
+    keys = stream.keys - (stream.keys & 1) * (4 * round(offset / PS))
+    keys.sort(kind="stable")
+    return EventStream(stream.duration, keys, stream.unplaced_stop_plus)

@@ -191,13 +191,13 @@ class TestCli:
         assert rc == 2
         assert f"{key}: its 12-sigma reach must fit in one" in capsys.readouterr().err
 
-    def test_window_reach_past_a_slice_is_rejected(self, tmp_path, capsys):
-        # 1e10 s is 1e22 ps, past int64; the reach must fit in one 1 s slice.
+    def test_window_centre_key_is_rejected(self, tmp_path, capsys):
+        # The window sits on the central peak; it has no centre to set.
         bad = tmp_path / "bad.cfg"
-        bad.write_text(SMALL_CFG + "tphc.center_offset = 1e10 s\n")
+        bad.write_text(SMALL_CFG + "tphc.center_offset = 0 ps\n")
         rc = main(["simulate", "--config", str(bad), "--out", str(tmp_path / "y.csv")])
         assert rc == 2
-        assert "tphc.center_offset: the window's reach" in capsys.readouterr().err
+        assert "unknown key 'tphc.center_offset'" in capsys.readouterr().err
 
     def test_path_delay_past_a_slice_is_rejected(self, tmp_path, capsys):
         # 1e10 s is 1e22 ps, past int64; the long arm must fit in one 1 s slice.
@@ -282,9 +282,12 @@ class TestCli:
 
 
 def test_readme_command_lines_parse(capsys):
-    # A flag the CLI no longer has must not linger in the documented commands.
+    # A flag or config key the program no longer has must not linger in the
+    # documented commands or the example config.
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, re.S | re.M)
+    (example,) = [block for block in blocks if block.startswith("# example.cfg\n")]
+    loads_config(example, origin="README.md example.cfg")
     lines = (line.split("#", 1)[0].strip() for block in blocks for line in block.splitlines())
     commands = [line for line in lines if line.startswith("fransim ")]
     assert len(commands) >= 5, commands

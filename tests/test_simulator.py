@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from conftest import clean_config
+from conftest import clean_config, stops_moved
 from fransim import analysis, events, simulator
 from fransim.config import (ConfigError, DetectorParams, TphcParams, loads_config,
                             reproduction_config)
@@ -56,7 +56,7 @@ def _pair_cells(cfg, d1, d2, seed):
     and in the side peaks (offsets +-path_delay): the 12 cells of the pair law."""
     stream = emit_event_stream(cfg, d1, d2, 1.0, seed)
     delay = cfg.analyzer1.path_delay
-    cells = {offset: window_coincidences(stream, replace(cfg.tphc, center_offset=offset))
+    cells = {offset: window_coincidences(stops_moved(stream, offset), cfg.tphc)
              .coincidences for offset in (0.0, delay, -delay)}
     return len(stream.start_plus) + len(stream.start_minus), cells
 
@@ -227,8 +227,8 @@ class TestLossyThinning:
             assert abs(central[(i, j)] - expected) < 5 * math.sqrt(expected), (i, j)
         delay = cfg.analyzer1.path_delay
         for offset in (delay, -delay):
-            tphc = replace(cfg.tphc, center_offset=offset)
-            side = sum(window_coincidences(stream, tphc).coincidences.values())
+            side = sum(window_coincidences(stops_moved(stream, offset),
+                                           cfg.tphc).coincidences.values())
             expected = both / 4 + 4 * acc
             assert abs(side - expected) < 5 * math.sqrt(expected), offset
 
@@ -255,15 +255,14 @@ class TestIntegerPicosecondLaw:
 
     def test_central_window_fraction_matches_the_rounded_jitter_law(self):
         # Lossless and dark-free: every start has its stop, and half the pairs
-        # sit in the central peak, at the centre offset, with the jitter of
-        # both detectors. sigma = 5 ps each makes the rounding matter:
-        # truncating the offsets instead moves the fraction by about 20 SE.
-        sigma_ps, half_ps, offset_ps = 5.0, 7, 130
+        # sit in the central peak, at 0, with the jitter of both detectors.
+        # sigma = 5 ps each makes the rounding matter: truncating the
+        # offsets instead moves the fraction by about 20 SE.
+        sigma_ps, half_ps = 5.0, 7
         fwhm = sigma_ps * PS * 2 * math.sqrt(2 * math.log(2))
         cfg = clean_config(pair_rate=1e5, jitter_stop=fwhm, seed=32)
         cfg = replace(cfg, detector_start=replace(cfg.detector_start, jitter_fwhm=fwhm),
-                      tphc=TphcParams(window_width=2 * half_ps * PS,
-                                      center_offset=offset_ps * PS))
+                      tphc=TphcParams(window_width=2 * half_ps * PS))
         stream = emit_event_stream(cfg, 0.4, 0.1, 2.0, cfg.seed)
         n_pairs = len(stream.start_plus) + len(stream.start_minus)
         inside = sum(window_coincidences(stream, cfg.tphc).coincidences.values())
@@ -284,8 +283,6 @@ class TestEventStream:
         jittery = replace(cfg, detector_start=replace(cfg.detector_start, jitter_fwhm=150e-12))
         # Every variant keeps the default 0.7 ns path delay of clean_config.
         variants = [(cfg, 1.2), (cfg, 3.7), (jittery, 3.7), (_lossy(cfg), 3.7)]
-        variants += [(replace(jittery, tphc=replace(cfg.tphc, center_offset=offset)), 2.5)
-                     for offset in (130e-12, -130e-12)]
         for config, duration in variants:
             for seed in range(1, 11):
                 stream = emit_event_stream(config, 0.4, -0.1, duration, seed)
@@ -502,24 +499,22 @@ class TestMonitoredOnly:
     is the + subset of the full record and leaves the counts it reads alone."""
 
     @staticmethod
-    def _config(dark_only, lossy, jitter, centre):
+    def _config(dark_only, lossy, jitter):
         if dark_only:
             cfg = clean_config(pair_rate=0.0, dark_start=2e4, dark_stop=3e4)
         else:
             cfg = clean_config(pair_rate=2e4, dark_start=1e3, dark_stop=2e3)
             cfg = _lossy(cfg) if lossy else cfg
-        offset = centre * cfg.analyzer1.path_delay  # the central or a side peak
-        return replace(cfg, detector_stop=replace(cfg.detector_stop, jitter_fwhm=jitter),
-                       tphc=replace(cfg.tphc, center_offset=offset))
+        return replace(cfg, detector_stop=replace(cfg.detector_stop, jitter_fwhm=jitter))
 
     @settings(deadline=None, max_examples=30)
     @given(dark_only=st.booleans(), lossy=st.booleans(),
-           jitter=st.sampled_from([0.0, 200e-12]), centre=st.sampled_from([0, 1, -1]),
+           jitter=st.sampled_from([0.0, 200e-12]),
            duration=st.sampled_from([0.4, 1.0, 2.5]), law=st.sampled_from(sorted(PAIR_LAWS)),
            d1=st.floats(-math.pi, math.pi), seed=st.integers(0, 2**32 - 1))
     def test_record_and_counts_are_the_plus_subset_of_the_full_run(
-            self, dark_only, lossy, jitter, centre, duration, law, d1, seed):
-        cfg = self._config(dark_only, lossy, jitter, centre)
+            self, dark_only, lossy, jitter, duration, law, d1, seed):
+        cfg = self._config(dark_only, lossy, jitter)
         full = emit_event_stream(cfg, d1, 0.2, duration, seed, law=law)
         plus = emit_event_stream(cfg, d1, 0.2, duration, seed, law=law, monitored_only=True)
         np.testing.assert_array_equal(plus.keys, full.keys[(full.keys & 2) == 0])
@@ -682,15 +677,13 @@ class TestStreamingSlices:
     events near the next boundary; these check that cut and carry."""
 
     @settings(deadline=None, max_examples=200)
-    @given(data=st.data(), n_slices=st.integers(1, 3), half=st.integers(1, 340),
-           center=st.integers(-400, 400))
-    def test_cut_and_carry_counts_every_pair_once(self, data, n_slices, half, center):
+    @given(data=st.data(), n_slices=st.integers(1, 3), half=st.integers(1, 340))
+    def test_cut_and_carry_counts_every_pair_once(self, data, n_slices, half):
         # Hand-made slices crowd events around each boundary. Like real ones,
-        # a slice's events lie at or past its start before the emitter moves
-        # its stops by the centre offset, and either side may lead the start
-        # by up to the margin, half + 1 ps without jitter, the floor
+        # a slice's events lie at or past its start, and either side may lead
+        # the start by up to the margin, half + 1 ps without jitter, the floor
         # simulate_setting checks.
-        tphc = TphcParams(window_width=2 * half * PS, center_offset=center * PS)
+        tphc = TphcParams(window_width=2 * half * PS)
         cfg = replace(clean_config(), tphc=tphc)
         offsets = st.lists(st.integers(0, 3000), max_size=5)
         leads = st.lists(st.integers(1, half + 1), max_size=3)
@@ -704,63 +697,15 @@ class TestStreamingSlices:
                 ports[name] = np.array(times, dtype=np.int64)
             slices.append(ports)
 
-        def emitted(ports, config):  # the stops moved by the centre, as emit_event_stream does
-            shift = round(config.tphc.center_offset / PS)
-            return {name: times + shift * name.startswith("stop") for name, times in ports.items()}
-
         def fake_emit(config, d1, d2, duration, seed, *, start=0.0, **kwargs):
-            return EventStream.from_ports(duration, **emitted(slices[int(start)], config))
+            return EventStream.from_ports(duration, **slices[int(start)])
 
         with mock.patch.object(simulator, "emit_event_stream", fake_emit):
             got = simulate_setting(cfg, 0.0, 0.0, float(n_slices), 1)
         whole = EventStream.from_ports(float(n_slices), **{
-            name: np.concatenate([emitted(ports, cfg)[name] for ports in slices])
+            name: np.concatenate([ports[name] for ports in slices])
             for name in PORTS})
         assert got == window_coincidences(whole, tphc)
-
-    def test_centre_offset_is_a_relabel(self):
-        # The centre moves every stop event, dark counts included, and the
-        # window takes it away again, so the counts do not depend on it.
-        cfg = clean_config(pair_rate=2e4, dark_start=2e3, dark_stop=2e4,
-                           jitter_stop=200e-12, seed=5)
-        summaries = []
-        for offset in (0.0, -130e-12, 2e-3):
-            config = replace(cfg, tphc=replace(cfg.tphc, center_offset=offset))
-            summary = simulate_setting(config, 0.3, 0.1, 2.5, cfg.seed)
-            stream = emit_event_stream(config, 0.3, 0.1, 2.5, cfg.seed)
-            assert summary == window_coincidences(stream, config.tphc), offset
-            summaries.append(summary)
-        assert summaries[1] == summaries[0] and summaries[2] == summaries[0]
-
-    def test_pairing_reach_is_the_half_width(self, monkeypatch):
-        # Under a 2 ms centre the pairing walk reaches the half-width alone,
-        # not every stop within 2 ms of each event.
-        cfg = clean_config(pair_rate=2e4, dark_start=2e3, dark_stop=2e4, seed=6)
-        cfg = replace(cfg, tphc=replace(cfg.tphc, center_offset=2e-3))
-        half = round(cfg.tphc.window_width / 2 / PS)
-        reaches = []
-        real = events.pair_positions
-
-        def recording(keys, *reach):
-            reaches.append(reach)
-            return real(keys, *reach)
-
-        monkeypatch.setattr(events, "pair_positions", recording)
-        simulate_setting(cfg, 0.0, 0.0, 2.5, cfg.seed)
-        assert reaches and all(reach == (half,) for reach in reaches), reaches
-
-    def test_centre_shift_copies_the_keys_once(self):
-        # The stops are shifted in one pass over one copy of the keys;
-        # selecting them and concatenating peaked at 2.13 key arrays.
-        config = reproduction_config()
-        stream = emit_event_stream(config, 0.0, 0.0, 1.0, 3)
-        tracemalloc.start()
-        try:
-            window_coincidences(stream, replace(config.tphc, center_offset=-130e-12))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * stream.keys.nbytes, peak / stream.keys.nbytes
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_real_carry_into_reused_buffers(self, monkeypatch, seed):
