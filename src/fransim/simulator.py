@@ -13,6 +13,7 @@ from collections import deque
 from contextlib import closing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -20,6 +21,9 @@ import numpy as np
 from .config import (JITTER_SIGMAS, SLICE_SECONDS, DetectorParams, ExperimentConfig,
                      fwhm_to_sigma, validate_config)
 from .events import (
+    CH_START_MINUS,
+    CH_START_PLUS,
+    CH_STOP_MINUS,
     CH_STOP_PLUS,
     CHANNEL_PORTS,
     OUTCOMES,
@@ -64,59 +68,29 @@ def generate_dark_counts(rate: float, duration: float, rng: np.random.Generator,
     [t0_ps, t0_ps + duration), in draw order.
 
     With ``reach``, the block of a stop port in one slice, only the counts a
-    start can reach are sure to get positions (a Poisson process on disjoint
+    start can reach, block (a) of the port (a Poisson process on disjoint
     regions is one independent process per region):
 
     - in U, the windows of ``reach.starts``: Poisson(rate · N · W) candidates,
-      W = 2R + 1 grid points, each at a uniform offset from a uniform window;
-      one is kept if no earlier window covers it (by time within a start
-      block, then by block) and it lies in the interior, so each point of U
-      is drawn by its first window alone;
-    - in E, the edge bands, drawn whole;
-    - outside U ∪ E, with ``reach.count``, their number, Poisson(rate ·
-      (interior − |U|)), into ``reach.outside``; with ``reach.place`` as well,
-      that many positions uniform on the interior, last in the result. Any
-      of those inside U is moved by :func:`_slice_keys` after its sort (see
-      :func:`_redraw`).
-    - outside U ∪ E, without ``reach.count`` but with ``reach.place``, a
-      Poisson process on the interior, last in the result and counted in
-      ``reach.outside``, of which :func:`_slice_keys` drops those inside U.
+      W = 2R + 1 grid points, each at a uniform offset from a uniform window
+      (:meth:`StartReach.candidates`); one is kept if no earlier window
+      covers it and it lies in the interior, so each point of U is drawn by
+      its first window alone;
+    - in E, the edge bands, drawn whole.
+
+    The counts outside U ∪ E are left to :func:`_slice_keys`.
     """
     if rate < 0:
         raise ValueError(f"dark rate must be >= 0, got {rate}")
     if reach is None:
         n = rng.poisson(rate * duration)
         return rng.integers(t0_ps, t0_ps + max(1, round(duration / PS)), n)
-    mu, half, lo, hi = rate * PS, reach.half, reach.lo, reach.hi
-    # Only the windows that meet the interior [lo, hi) can keep a candidate.
-    near = [s[np.searchsorted(s, 4 * (lo - half)):np.searchsorted(s, 4 * (hi + half))]
-            if hi > lo else s[:0] for s in reach.starts]
-    sizes = np.cumsum([0] + [len(s) for s in near])
-    pick = rng.integers(0, sizes[-1], rng.poisson(mu * sizes[-1] * (2 * half + 1)))
-    offset = rng.integers(-half, half + 1, len(pick))
-    placed = []
-    for block, s in enumerate(near):
-        mine = (pick >= sizes[block]) & (pick < sizes[block + 1])
-        j = pick[mine] - sizes[block]
-        x = (s[j] >> 2) + offset[mine]
-        keep = (x >= lo) & (x < hi) & ~((j > 0) & (s[j - 1] >> 2 >= x - half))
-        for earlier in near[:block]:
-            keep &= ~_within(x, earlier, half)
-        placed.append(x[keep])
+    mu, lo, hi = rate * PS, reach.lo, reach.hi
+    x, _, first = reach.candidates(
+        rng.poisson(mu * len(reach.near) * (2 * reach.half + 1)), rng)
     front, edge = lo - reach.t0, lo - reach.t0 + reach.end - hi
     at = rng.integers(0, edge, rng.poisson(mu * edge))
-    placed.append(np.where(at < front, reach.t0 + at, hi - front + at))
-    if reach.count:
-        reach.outside = rng.poisson(mu * (hi - lo - _covered(near[0], half, lo, hi)))
-    elif reach.place:
-        reach.outside = rng.poisson(mu * (hi - lo))
-    inside = sum(map(len, placed))
-    times = np.empty(inside + reach.outside * reach.place, np.int64)
-    np.concatenate(placed, out=times[:inside])
-    for at in range(inside, len(times), _CHUNK):  # the outside ones, a chunk at a time
-        chunk = times[at:at + _CHUNK]
-        chunk[:] = rng.integers(lo, hi, len(chunk))
-    return times
+    return np.concatenate([x[first], np.where(at < front, reach.t0 + at, hi - front + at)])
 
 
 @dataclass
@@ -125,74 +99,122 @@ class StartReach:
     slice [t0, end) (see :func:`generate_dark_counts`).
 
     U is the windows [s - half, s + half] of the start times s of
-    ``starts``, the sorted keys of each start block drawn before the stop
-    block (see :func:`fransim.events.pack_keys`). E is the two edge
-    bands, [t0, lo) and [hi, end), which the starts of the neighbouring
-    slices can reach; between them lies the interior. ``count`` and
-    ``place`` say what to draw outside U ∪ E, ``outside`` receives how many.
+    ``starts``, the sorted keys of the start blocks drawn before the stop
+    block (see :func:`fransim.events.pack_keys`). E is the two edge bands,
+    [t0, lo) and [hi, end), which the starts of the neighbouring slices can
+    reach; between them lies the interior, I.
     """
 
-    starts: list
+    starts: np.ndarray
     half: int
     t0: int
     end: int
     lo: int
     hi: int
-    count: bool
-    place: bool
-    outside: int = 0
+
+    @cached_property
+    def near(self) -> np.ndarray:
+        """The start keys whose windows meet the interior."""
+        s, half = self.starts, self.half
+        if self.hi <= self.lo:
+            return s[:0]
+        return s[np.searchsorted(s, 4 * (self.lo - half)):np.searchsorted(s, 4 * (self.hi + half))]
+
+    def covered(self) -> int:
+        """|U ∩ I|: grid points of the interior within ``half`` of a start.
+
+        Each window adds the W = 2 half + 1 points that its predecessor does
+        not cover, min(W, gap), a chunk of gaps at a time; the first window
+        covers all of U below lo, and the last all of U from hi on.
+        """
+        s, half = self.near, self.half
+        if not len(s):
+            return 0
+        width = union = 2 * half + 1
+        for at in range(0, len(s) - 1, _CHUNK):
+            gaps = np.diff(s[at:at + _CHUNK + 1] >> 2)  # times: the channels differ
+            union += int(np.minimum(gaps, width, out=gaps).sum())
+        first, last = s[0] >> 2, s[-1] >> 2
+        return union - max(0, self.lo - first + half) - max(0, last + half + 1 - self.hi)
+
+    def candidates(self, n: int, rng: np.random.Generator):
+        """``n`` uniform points of the windows of :attr:`near`: their times,
+        their windows' positions in it, and whether each lies in the
+        interior and no earlier window covers it."""
+        near, half = self.near, self.half
+        pick = rng.integers(0, len(near), n)
+        x = (near[pick] >> 2) + rng.integers(-half, half + 1, n)
+        first = (x >= self.lo) & (x < self.hi) & ~((pick > 0) & (near[pick - 1] >> 2 >= x - half))
+        return x, pick, first
 
 
-def _within(x: np.ndarray, starts: np.ndarray, half: int) -> np.ndarray:
-    """Whether each of the (few) times ``x`` lies within ``half`` of one of
-    ``starts``, the sorted keys of one start channel."""
-    if not len(starts):
-        return np.zeros(len(x), bool)
-    j = np.searchsorted(starts, 4 * (x - half))
-    return (j < len(starts)) & (starts[np.minimum(j, len(starts) - 1)] >> 2 <= x + half)
+def _reached(x: np.ndarray, keys: np.ndarray, j: np.ndarray, half: int,
+             mask: int) -> np.ndarray:
+    """Whether a key k of the sorted ``keys`` with ``k & mask == 0`` (a start
+    key with mask 1, a start + key with mask 3) lies within ``half`` of each
+    of the (few) times ``x``, where ``keys[j]`` is the first key at or past
+    ``x - half``: the keys from ``j`` on, one round a key."""
+    found = np.zeros(len(x), bool)
+    todo, j = np.arange(len(x)), np.array(j)
+    while len(todo):
+        todo = todo[j[todo] < len(keys)]
+        key = keys[j[todo]]
+        near = key >> 2 <= x[todo] + half
+        todo, key = todo[near], key[near]
+        hit = key & mask == 0
+        found[todo[hit]] = True
+        todo = todo[~hit]
+        j[todo] += 1
+    return found
 
 
-def _covered(starts: np.ndarray, half: int, lo: int, hi: int) -> int:
-    """Grid points of [lo, hi) within ``half`` of one of ``starts``, the
-    sorted keys of one start channel, each at a time in [lo - half, hi + half).
+def _beyond_plus(n: int, reach: StartReach, area: int, rng: np.random.Generator) -> np.ndarray:
+    """``n`` times uniform on the ``area`` grid points of the interior that
+    the windows of the start - keys of ``reach`` cover and those of its start
+    + keys do not: candidates of its windows (:meth:`StartReach.candidates`),
+    each kept if it is its first window's and no start + key reaches it.
+    Each round draws as many as keep the ``need`` still missing on average,
+    at most a chunk, and takes the first ``need`` kept."""
+    kept, need = [], n
+    while need:
+        size = math.ceil(need * len(reach.near) * (2 * reach.half + 1) / area)
+        x, pick, keep = reach.candidates(min(size, _CHUNK), rng)
+        keep[keep] = ~_reached(x[keep], reach.near, pick[keep], reach.half, 3)
+        kept.append(x[keep][:need])
+        need -= len(kept[-1])
+    return np.concatenate(kept) if kept else np.empty(0, np.int64)
 
-    Each window adds the W = 2 half + 1 points that its predecessor does not
-    cover, min(W, gap), a chunk of gaps at a time; the first window covers
-    all of U below lo, and the last all of U from hi on.
-    """
-    if not len(starts):
-        return 0
-    width = 2 * half + 1
-    union = width + sum(int(np.minimum(np.diff(starts[at:at + _CHUNK + 1]) >> 2, width).sum())
-                        for at in range(0, len(starts) - 1, _CHUNK))
-    first, last = starts[0] >> 2, starts[-1] >> 2
-    return union - max(0, lo - first + half) - max(0, last + half + 1 - hi)
 
-
-def _redraw(n: int, reach: StartReach, rng: np.random.Generator) -> np.ndarray:
-    """``n`` times uniform on the interior of ``reach``, the stop + block's,
-    outside U: uniform draws, each redrawn while it lies in U."""
-    (starts,) = reach.starts  # the start + block's
-    times = rng.integers(reach.lo, reach.hi, n)
-    inside = np.ones(n, bool)
-    while inside.any():
-        inside[inside] = _within(times[inside], starts, reach.half)
-        times[inside] = rng.integers(reach.lo, reach.hi, np.count_nonzero(inside))
-    return times
+def _redraw(n: int, keys: np.ndarray, reach: StartReach, free: int,
+            rng: np.random.Generator) -> np.ndarray:
+    """``n`` times uniform on the ``free`` grid points of the interior of
+    ``reach`` outside every window of the start keys of the sorted ``keys``:
+    uniform draws on the interior, each kept if no start key reaches it,
+    drawn in rounds as in :func:`_beyond_plus`."""
+    kept, need = [], n
+    while need:
+        x = rng.integers(reach.lo, reach.hi,
+                         min(math.ceil(need * (reach.hi - reach.lo) / free), _CHUNK))
+        x = x[~_reached(x, keys, np.searchsorted(keys, 4 * (x - reach.half)), reach.half, 1)]
+        kept.append(x[:need])
+        need -= len(kept[-1])
+    return np.concatenate(kept) if kept else np.empty(0, np.int64)
 
 
 def _buffer_size(config: ExperimentConfig, dur: float, monitored_only: bool,
                  count_only: bool) -> int:
     """The expected count of the keys that ``dur`` seconds of slices keep,
-    plus 9 of its standard deviations. A count leaves out the dark counts of
-    its last stop block outside the windows and bands, nearly all of them."""
-    src = config.source
+    plus 9 of its standard deviations. Of the stop dark counts, a count
+    keeps only those in the windows of the starts it makes, about ports ·
+    start rate · window of them a second on each stop port (bands aside)."""
+    src, start_det, stop_det = config.source, config.detector_start, config.detector_stop
     split = src.pair_rate * src.split_efficiency * dur
-    per_port = (split * (src.arm1_transmission * config.detector_start.efficiency
-                         + src.arm2_transmission * config.detector_stop.efficiency) / 2
-                + dur * (config.detector_start.dark_rate + config.detector_stop.dark_rate))
-    mean = (per_port * (1 if monitored_only else 2)
-            - count_only * dur * config.detector_stop.dark_rate)
+    ports = 1 if monitored_only else 2
+    start = split * src.arm1_transmission * start_det.efficiency / 2 + dur * start_det.dark_rate
+    kept = min(1.0, ports * start / dur * config.tphc.window_width) if count_only else 1.0
+    stop = (split * src.arm2_transmission * stop_det.efficiency / 2
+            + kept * dur * stop_det.dark_rate)
+    mean = ports * (start + stop)
     return math.ceil(mean + 9 * math.sqrt(mean))
 
 
@@ -225,46 +247,52 @@ def _slice_keys(config: ExperimentConfig, probs: np.ndarray, t0_ps: int, dur: fl
     :func:`fransim.quantum.cell_law`); one-sided events take its marginals,
     which every pair law shares: a uniform port and the long arm with prob. 1/2.
     Times are drawn uniformly on the 1 ps grid from ``t0_ps``, and the path
-    delay and the jitter are rounded to whole ps. The port blocks are drawn
-    from ``rng`` alone, in channel order: start +, stop +, start -, stop -.
+    delay and the jitter are rounded to whole ps.
 
-    A stop block's dark counts are drawn by :func:`generate_dark_counts`
-    with the windows of the starts drawn before it, whose block keys are
-    sorted as soon as they are packed. The edge bands are the half-width,
-    the path delay and 12 start jitter sigmas (+1 ps) wide, past which no
-    start of another slice reaches. Outside the windows and bands the stop +
-    block draws the number of its dark counts; a count of the + ports alone
-    stops there and returns that number. Every other slice draws their
-    positions next. A count of all four ports draws no stop - dark count
-    outside the windows and bands; a record draws them as a Poisson process
-    on the interior that loses the ones inside a window.
+    The stop dark counts are drawn in four blocks a port: (a) those in the
+    windows of the starts drawn before them and in the edge bands (see
+    :func:`generate_dark_counts`), (b) the number of the rest, (c) the share
+    of (b) in windows drawn later, and (d) the positions of the rest. The
+    edge bands are the half-width, the path delay and 12 start jitter sigmas
+    (+1 ps) wide, past which no start of another slice reaches. Let U+ and
+    U- be the windows of the + and - starts and I the interior. Everything
+    is drawn from ``rng`` alone, in this order:
 
-    Those outside draws that a start of an earlier block reaches are found
-    after the sort, by :func:`fransim.events.pair_positions`: the paired stop
-    keys less the block keys drawn in the windows and bands (equal keys are
-    alike). A stop - one is dropped, a stop + one redrawn from the first
-    child of ``rng`` (:func:`_redraw`), so the redraws do not depend on how
-    far ``rng`` has been drawn. Without ``out`` the key buffer is sized from
-    the expected count of the keys the slice keeps plus 9 of its standard
-    deviations; a block that does not fit grows it.
+    1. start +, the stop + photons, (a+) in U+, and the number (b+), Poisson
+       on I - U+. A count of the + ports alone (``monitored_only``) stops
+       here and returns (b+) as its unplaced stop + events. So its keys are
+       the + keys of the full count of the slice less (c+), and those of the
+       record less (c+) and (d+).
+    2. start -, the stop - photons, (c+), Binomial((b+), |I ∩ U- - U+| /
+       |I - U+|) with positions uniform on I ∩ U- - U+ (see
+       :func:`_beyond_plus`), and (a-) in U+ ∪ U-. A count of all four ports
+       (``count_only``) stops here and returns (b+) - (c+); it draws no
+       number of the stop - dark counts outside U+ ∪ U-, which no count reads.
+    3. for a record, (d+), the other (b+) - (c+) stop + positions, uniform on
+       I, then (d-), a Poisson process on I.
 
-    With ``monitored_only`` the slice stops after the two + blocks, so its
-    keys are exactly the + port keys of the full slice,
-    ``full[(full & 2) == 0]``, and a count of them the + part of a count of
-    the full slice.
+    The start blocks are sorted as soon as they are packed, and the two are
+    merged in place, so |I ∩ U+ ∪ U-| comes from one pass over their gaps
+    and a count's final sort is a merge of that run with the sorted stop keys.
+    A record finds the (d) draws that a start reaches after its sort, by
+    :func:`fransim.events.pair_positions`: the paired stop keys less the
+    keys drawn in the windows and bands (equal keys are alike). A (d-) one
+    is dropped, a (d+) one redrawn from the first child of ``rng``
+    (:func:`_redraw`), so the redraws do not depend on how far ``rng`` has
+    been drawn. Without ``out`` the key buffer is sized from the expected
+    count of the keys the slice keeps plus 9 of its standard deviations; a
+    block that does not fit grows it.
     """
-    src = config.source
+    src, start_det, stop_det = config.source, config.detector_start, config.detector_stop
     end_ps = t0_ps + max(1, round(dur / PS))  # a sub-ps last slice keeps one grid point
     delay = round(config.analyzer1.path_delay / PS)
     half = round(config.tphc.window_width / 2 / PS)
-    band = half + delay + math.ceil(JITTER_SIGMAS * fwhm_to_sigma(
-        config.detector_start.jitter_fwhm) / PS) + 1
+    band = half + delay + math.ceil(JITTER_SIGMAS * fwhm_to_sigma(start_det.jitter_fwhm) / PS) + 1
     lo = min(t0_ps + band, end_ps)
     hi = max(end_ps - band, lo)
     split = src.pair_rate * src.split_efficiency * dur
-    eta1 = src.arm1_transmission * config.detector_start.efficiency
-    eta2 = src.arm2_transmission * config.detector_stop.efficiency
-    last = 1 if monitored_only else 3
+    eta1 = src.arm1_transmission * start_det.efficiency
+    eta2 = src.arm2_transmission * stop_det.efficiency
     keys = out if out is not None else np.empty(
         _buffer_size(config, dur, monitored_only, count_only), np.int64)
     end = 0
@@ -279,10 +307,10 @@ def _slice_keys(config: ExperimentConfig, probs: np.ndarray, t0_ps: int, dur: fl
     n_both = rng.poisson(split * eta1 * eta2)
     emission = rng.integers(t0_ps, end_ps, n_both)
     cells = rng.choice(16, n_both, p=probs)  # bits: start arm, stop arm, start port, stop port
-    sides = ((config.detector_start, 3, 1, split * eta1 * (1.0 - eta2)),
-             (config.detector_stop, 2, 0, split * (1.0 - eta1) * eta2))
-    starts, inner, unplaced, outside = [], [], 0, False
-    for channel in range(last + 1):
+    sides = ((start_det, 3, 1, split * eta1 * (1.0 - eta2)),
+             (stop_det, 2, 0, split * (1.0 - eta1) * eta2))
+
+    def photons(channel):
         det, arm_bit, port_bit, mean_one = sides[channel & 1]
         both = (cells >> port_bit & 1) == channel >> 1
         both_time = emission[both] + delay * (cells[both] >> arm_bit & 1)
@@ -290,44 +318,57 @@ def _slice_keys(config: ExperimentConfig, probs: np.ndarray, t0_ps: int, dur: fl
         # The times are i.i.d., so taking the first Binomial(n, 1/2) of
         # them as the long-arm ones is the same law as a coin per event.
         one_time[:rng.binomial(len(one_time), 0.5)] += delay
-        times = apply_jitter(np.concatenate([both_time, one_time]), det, rng)
+        return apply_jitter(np.concatenate([both_time, one_time]), det, rng)
+
+    def put_starts(channel):  # the sorted start keys give the windows
         begin = end
-        put(times, channel)
-        if channel & 1 == 0:  # the block's sorted keys give the starts of the windows
-            put(generate_dark_counts(det.dark_rate, dur, rng, t0_ps), channel)
-            keys[begin:end].sort()
-            starts.append(keys[begin:end])
-            continue
-        reach = StartReach(starts[:], half, t0_ps, end_ps, lo, hi, count=channel == CH_STOP_PLUS,
-                           place=not (count_only and channel == last))
-        put(generate_dark_counts(det.dark_rate, dur, rng, t0_ps, reach), channel)
-        # The block's keys but its outside dark counts, which come last.
-        inner.append(keys[begin:end - reach.outside * reach.place].copy())
-        unplaced += reach.outside * (not reach.place)
-        if reach.place and reach.outside:
-            outside = True
-        else:
-            keys[begin:end].sort()  # one more sorted run
-        if channel == CH_STOP_PLUS:
-            plus = reach  # the redraws keep out of its windows
+        put(photons(channel), channel)
+        put(generate_dark_counts(start_det.dark_rate, dur, rng, t0_ps), channel)
+        keys[begin:end].sort()
+        if begin:
+            keys[:end].sort(kind="stable")  # a merge with the start + run, in place
+        return StartReach(keys[:end], half, t0_ps, end_ps, lo, hi)
+
+    mu = stop_det.dark_rate * PS
+    plus = put_starts(CH_START_PLUS)
+    stop_plus = np.concatenate([photons(CH_STOP_PLUS),
+                                generate_dark_counts(stop_det.dark_rate, dur, rng, t0_ps, plus)])
+    outside = hi - lo - plus.covered()  # |I - U+|
+    unplaced = rng.poisson(mu * outside)  # (b+)
+    if not monitored_only:
+        both = put_starts(CH_START_MINUS)
+    starts = end
+    put(stop_plus, CH_STOP_PLUS)
+    if not monitored_only:
+        put(photons(CH_STOP_MINUS), CH_STOP_MINUS)
+        covered = both.covered()  # |I ∩ U+ ∪ U-|
+        area = covered - (hi - lo - outside)  # |I ∩ U- - U+|
+        placed = rng.binomial(unplaced, area / outside if outside else 0.0)  # (c+)
+        put(_beyond_plus(placed, both, area, rng), CH_STOP_PLUS)
+        unplaced -= placed
+        put(generate_dark_counts(stop_det.dark_rate, dur, rng, t0_ps, both), CH_STOP_MINUS)
+    drawn = end
+    if not count_only:  # (d+), then (d-), a chunk at a time
+        for channel, n in ((CH_STOP_PLUS, unplaced), (CH_STOP_MINUS, rng.poisson(mu * (hi - lo)))):
+            for at in range(0, n, _CHUNK):
+                put(rng.integers(lo, hi, min(_CHUNK, n - at)), channel)
+        unplaced = 0
     keys = keys[:end]
-    if not outside:
-        keys.sort(kind="stable")  # a merge of the sorted block runs
-    else:  # find the outside dark counts that a start of an earlier block reaches
-        plus.starts = [s.copy() for s in plus.starts]  # for the redraws: the sort moves them
-        keys.sort()
-        first, second = pair_positions(keys, half)
-        stops = np.sort(second[(keys[first] & 3) < (keys[second] & 3)])
-        stops = stops[np.diff(stops, prepend=-1) > 0]
-        # Less the inner keys of the blocks, which may lie there; equal keys are alike.
-        values, inner = keys[stops], np.sort(np.concatenate(inner))
-        rank = np.arange(len(values)) - np.searchsorted(values, values)
-        drop = stops[rank >= np.searchsorted(inner, values, "right")
-                     - np.searchsorted(inner, values)].tolist()
-        moved = np.count_nonzero(keys[drop] & 3 == CH_STOP_PLUS)
-        redrawn = _redraw(moved, plus, rng.spawn(1)[0]) * 4 + CH_STOP_PLUS
-        keys = keys[:_mend(keys, drop, np.sort(redrawn))]
-    return keys, unplaced
+    if end == drawn:
+        keys[starts:].sort()
+        keys.sort(kind="stable")  # a merge of the sorted start and stop runs
+        return keys, unplaced
+    inner = np.sort(keys[starts:drawn])  # the stop keys drawn in the windows and bands
+    keys.sort()
+    # The (d) draws that a start reaches: the paired stop keys less the inner ones.
+    stops = np.unique(pair_positions(keys, half)[1])
+    values = keys[stops]
+    rank = np.arange(len(values)) - np.searchsorted(values, values)
+    drop = stops[rank >= np.searchsorted(inner, values, "right")
+                 - np.searchsorted(inner, values)].tolist()
+    moved = np.count_nonzero(keys[drop] & 3 == CH_STOP_PLUS)
+    redrawn = _redraw(moved, keys, both, hi - lo - covered, rng.spawn(1)[0]) * 4 + CH_STOP_PLUS
+    return keys[:_mend(keys, drop, np.sort(redrawn))], 0
 
 
 def _in_order(make, n_jobs: int):
@@ -386,18 +427,19 @@ def emit_event_stream(config: ExperimentConfig, d1: float, d2: float, duration: 
     an int64 ``out`` large enough for the slice receives its keys and the
     stream's keys are a view of it; a smaller one is replaced by a new array.
     ``law`` names the law of pairs detected on both sides in
-    :data:`fransim.quantum.PAIR_LAWS`. With ``monitored_only`` the record
-    holds the + ports alone. Each slice draws its port blocks in channel
-    order and stops after the two + blocks, which are the full slice's first
-    two, so the record is exactly the + subset of the full record of the same
-    (config, seed).
+    :data:`fransim.quantum.PAIR_LAWS`.
 
     With ``count_only`` the stream is made for counting, not as a record:
     the stop dark counts that no start can reach are left without positions
     (see :func:`_slice_keys`). Those of the stop + port are counted in
-    ``unplaced_stop_plus`` when only the + ports are made; those of the stop
-    - port are not drawn. Every count of
-    :func:`fransim.events.window_coincidences` equals the record's.
+    ``unplaced_stop_plus``; those of the stop - port are not drawn. Its keys
+    are record keys, and every count of
+    :func:`fransim.events.window_coincidences` equals the record's. With
+    ``monitored_only`` as well, only the + ports are made: each slice stops
+    after its start + and stop + blocks, the first of the stream, so every +
+    count equals the + part of the full count. The + ports alone are not a
+    record, and ``monitored_only`` without ``count_only`` raises
+    ``ValueError``.
     """
     first, rest = divmod(start, SLICE_SECONDS)
     if not start >= 0 or rest:
@@ -410,6 +452,8 @@ def emit_event_stream(config: ExperimentConfig, d1: float, d2: float, duration: 
                          f"got {len(durations)} of {out.dtype}")
     if law not in PAIR_LAWS:
         raise ValueError(f"unknown pair law {law!r}, expected one of {sorted(PAIR_LAWS)}")
+    if monitored_only and not count_only:
+        raise ValueError("the + ports alone are made for counting (count_only), not as a record")
     # V' = V·exp(-(σ1² + σ2²)/2) is V averaged over each pair's white phase noise.
     vis = config.visibility * math.exp(-(config.analyzer1.phase_noise_sigma ** 2
                                          + config.analyzer2.phase_noise_sigma ** 2) / 2)
@@ -459,8 +503,9 @@ def simulate_settings(config: ExperimentConfig, settings: Sequence[tuple[float, 
     The 1 s slices of all the settings are one pipeline of jobs, in order,
     run by :func:`_in_order`, so at most two slices are alive. Each job
     makes one slice with :func:`emit_event_stream` for counting
-    (``count_only``: the stop dark counts that no start can reach get no
-    position) and counts it alone with
+    (``count_only``: of the stop dark counts, only those within a window of
+    one of the slice's starts, or in its edge bands, get a position; see
+    :func:`_slice_keys`) and counts it alone with
     :func:`fransim.events.window_coincidences`.
 
     A pair is counted with its later event's slice. With no keys carried from
@@ -478,7 +523,8 @@ def simulate_settings(config: ExperimentConfig, settings: Sequence[tuple[float, 
     :func:`emit_event_stream` record of the setting, and the accidental
     estimate comes once from the singles totals, the estimator the
     whole-stream path uses. With ``monitored_only`` only the + ports are made
-    and counted (see :func:`emit_event_stream`); pairings with a - port read 0.
+    and counted (see :func:`emit_event_stream`); pairings with a - port read
+    0, and the other counts are those of the full count of the same settings.
     """
     durations = _slice_durations(0, duration)
     validate_config(config)

@@ -261,6 +261,14 @@ class TestCli:
         assert "FAIL" not in captured
         assert out.exists()
 
+    def test_reproduce_paper_pins_its_verdict_numbers(self, capsys):
+        # Every number of the reproduction comes from counts of the + ports.
+        # A change that moves their stream on purpose updates these and says so.
+        assert main(["reproduce-paper", "--seed", "42"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[-3] for line in lines[1:]] == ["33.28", "0.9413", "0.02786",
+                                                            "8.407"]
+
     def test_fringe_less_reproduction_prints_its_verdict(self, capsys):
         # A 0.1 us dwell sees no coincidence, so the fit is flat with no
         # error on V: the table still prints, its rows fail, and it exits 1.

@@ -61,6 +61,16 @@ def _pair_cells(cfg, d1, d2, seed):
     return len(stream.start_plus) + len(stream.start_minus), cells
 
 
+def _beyond(sub, keys):
+    """The sorted ``keys`` less the sorted ``sub``, which must be a
+    sub-multiset of them: the k-th copy of a key in ``sub`` takes out its k-th
+    copy in ``keys``."""
+    rank = np.arange(len(sub)) - np.searchsorted(sub, sub)
+    at = np.searchsorted(keys, sub) + rank
+    assert (at < len(keys)).all() and (keys[np.minimum(at, len(keys) - 1)] == sub).all()
+    return np.delete(keys, at)
+
+
 def _correlation(counts):
     """E and its standard error from the four counts of one peak."""
     n = sum(counts.values())
@@ -290,15 +300,18 @@ class TestEventStream:
                     simulate_setting(config, 0.4, -0.1, duration, seed), (config, duration)
 
     def test_a_counting_stream_is_not_a_record(self, tmp_path):
-        # A count of the + ports keeps the stop + dark counts that no start
-        # reaches as a number: the stop singles, not a record.
+        # A count keeps the stop + dark counts that no start reaches as a
+        # number: the stop singles, not a record. The + ports alone are only
+        # ever made for counting.
         cfg = reproduction_config()
-        record = emit_event_stream(cfg, 0.3, 0.0, 1.0, 4, monitored_only=True)
-        count = emit_event_stream(cfg, 0.3, 0.0, 1.0, 4, monitored_only=True, count_only=True)
+        record = emit_event_stream(cfg, 0.3, 0.0, 1.0, 4)
+        count = emit_event_stream(cfg, 0.3, 0.0, 1.0, 4, count_only=True)
         assert count.unplaced_stop_plus > 300_000 and record.unplaced_stop_plus == 0
-        assert len(count.keys) + count.unplaced_stop_plus == len(record.keys)
+        beyond = _beyond(count.keys, record.keys)
+        assert np.count_nonzero((beyond & 3) == CH_STOP_PLUS) == count.unplaced_stop_plus
         assert window_coincidences(count, cfg.tphc) == window_coincidences(record, cfg.tphc)
-        for write in (count.to_records, lambda: count.write(tmp_path / "x.frsn")):
+        for write in (count.to_records, lambda: count.write(tmp_path / "x.frsn"),
+                      lambda: emit_event_stream(cfg, 0.3, 0.0, 1.0, 4, monitored_only=True)):
             with pytest.raises(ValueError, match="made for counting"):
                 write()
 
@@ -496,7 +509,8 @@ def test_reading_holds_the_keys_and_a_few_chunks(tmp_path):
 
 class TestMonitoredOnly:
     """A fringe scan makes and counts the + ports alone; these check that this
-    is the + subset of the full record and leaves the counts it reads alone."""
+    is the + part of the full count, itself a part of the record, and leaves
+    the counts it reads alone."""
 
     @staticmethod
     def _config(dark_only, lossy, jitter):
@@ -512,12 +526,22 @@ class TestMonitoredOnly:
            jitter=st.sampled_from([0.0, 200e-12]),
            duration=st.sampled_from([0.4, 1.0, 2.5]), law=st.sampled_from(sorted(PAIR_LAWS)),
            d1=st.floats(-math.pi, math.pi), seed=st.integers(0, 2**32 - 1))
-    def test_record_and_counts_are_the_plus_subset_of_the_full_run(
+    def test_the_counts_are_parts_of_the_record(
             self, dark_only, lossy, jitter, duration, law, d1, seed):
         cfg = self._config(dark_only, lossy, jitter)
-        full = emit_event_stream(cfg, d1, 0.2, duration, seed, law=law)
-        plus = emit_event_stream(cfg, d1, 0.2, duration, seed, law=law, monitored_only=True)
-        np.testing.assert_array_equal(plus.keys, full.keys[(full.keys & 2) == 0])
+        record = emit_event_stream(cfg, d1, 0.2, duration, seed, law=law)
+        full = emit_event_stream(cfg, d1, 0.2, duration, seed, law=law, count_only=True)
+        plus = emit_event_stream(cfg, d1, 0.2, duration, seed, law=law, monitored_only=True,
+                                 count_only=True)
+        # The full count holds record keys and counts the stop + ones it leaves out.
+        beyond = _beyond(full.keys, record.keys)
+        assert np.count_nonzero((beyond & 3) == CH_STOP_PLUS) == full.unplaced_stop_plus
+        assert window_coincidences(full, cfg.tphc) == window_coincidences(record, cfg.tphc)
+        # The + count is the + part of the full count, less the stop + dark
+        # counts that the full count places in the windows of the - starts.
+        more = _beyond(plus.keys, full.keys[(full.keys & 2) == 0])
+        assert (more & 3 == CH_STOP_PLUS).all()
+        assert len(more) == plus.unplaced_stop_plus - full.unplaced_stop_plus
 
         whole = simulate_settings(cfg, [(d1, 0.2, seed)], duration, law=law)[0]
         part = simulate_settings(cfg, [(d1, 0.2, seed)], duration, law=law,
@@ -528,6 +552,7 @@ class TestMonitoredOnly:
                                               whole.accidental_estimate)
         assert [part.coincidences[key] for key in OUTCOMES[1:]] == [0, 0, 0]
         assert part == window_coincidences(plus, cfg.tphc)
+        assert whole == window_coincidences(record, cfg.tphc)
 
     def test_a_monitored_slice_draws_the_plus_blocks_alone(self, monkeypatch):
         cfg = clean_config(pair_rate=2e4, dark_start=1e3, dark_stop=2e3, jitter_stop=200e-12)
@@ -546,7 +571,7 @@ class TestMonitoredOnly:
         for monitored, rates in ((True, [1e3, 2e3]), (False, [1e3, 2e3, 1e3, 2e3])):
             darks.clear()
             jitters.clear()
-            emit_event_stream(cfg, 0.3, 0.2, 1.0, 5, monitored_only=monitored)
+            emit_event_stream(cfg, 0.3, 0.2, 1.0, 5, monitored_only=monitored, count_only=True)
             assert darks == jitters == rates  # start +, stop + (, start -, stop -)
 
     def test_scan_equals_full_settings_at_the_point_seeds(self, monkeypatch):
@@ -580,12 +605,15 @@ class TestMonitoredOnly:
         assert [summary.singles_start, summary.singles_stop] == expected
 
 
-def _closed_form(cfg, d1, d2, duration):
-    """Means of the start and stop + singles and of the (+,+) count: the
-    pairs in the window, from the central peak and, with a wide jitter,
-    the side peaks at +-path delay, plus accidentals over the window's
-    2 half + 1 grid points; a (+,+) count's variance is its mean times
-    1 + the stops per window, as each start draws its window's stops afresh."""
+def _closed_form(cfg, d1, d2, duration, outcome=(1, 1)):
+    """Means of the start and stop + singles and of the ``outcome`` count:
+    the pairs in the window, from the central peak and, with a wide jitter,
+    the side peaks at +-path delay, plus accidentals, one for each start-stop
+    pair of the run's N grid points within the half-width, N (2 half + 1) -
+    half (half + 1) pairs. Last, a count's variance over its mean: 1 + the
+    starts and stops per window, as each start draws its window's stops
+    afresh and each stop its window's starts (a bound, exact away from the
+    ends of the run)."""
     src = cfg.source
     split = src.pair_rate * src.split_efficiency
     eta1 = src.arm1_transmission * cfg.detector_start.efficiency
@@ -606,17 +634,21 @@ def _closed_form(cfg, d1, d2, duration):
 
     window = (2 * half + 1) * PS
     # A pair takes the two arms' sides with prob. 1/4 each, and each port with 1/2.
-    peaks = (coincidence_probability(1, 1, d1, d2, cfg.visibility) * accept(0)
+    peaks = (coincidence_probability(*outcome, d1, d2, cfg.visibility) * accept(0)
              + (accept(delay) + accept(-delay)) / 16)
-    pairs = split * eta1 * eta2 * peaks + start * stop * window
-    return duration * start, duration * stop, duration * pairs, 1 + stop * window
+    grid = round(duration / PS)
+    accidentals = start * stop * PS * PS * (grid * (2 * half + 1) - half * (half + 1))
+    return (duration * start, duration * stop,
+            duration * split * eta1 * eta2 * peaks + accidentals, 1 + (start + stop) * window)
 
 
 class TestStopDarksInLaw:
     """A count places only the stop dark counts a start can reach and counts
-    the rest: the singles and the (+,+) count keep their closed-form law.
-    Each |z| of a total over the seeds stays within 4 (about 6e-5 a check
-    by chance)."""
+    the rest: the singles and the counts of every pairing it makes keep their
+    closed-form law. Each |z| of a total over the seeds stays within 4 (about
+    6e-5 a check by chance)."""
+
+    SHORT = 4.1e-6  # s, one slice: its interior is 0.9 us, its windows 1 us wide
 
     @staticmethod
     def _dense():  # windows overlap: 0.02 stops per window, 1.8e-4 starts per ps
@@ -627,26 +659,57 @@ class TestStopDarksInLaw:
         cfg = clean_config(pair_rate=5e4, dark_start=2e4, dark_stop=3e5, seed=9)
         return replace(cfg, detector_start=replace(cfg.detector_start, jitter_fwhm=1e-5))
 
+    @staticmethod
+    def _short():  # edge bands of 0.5 + 1.1 us + 1 ps leave 0.9 us of a SHORT slice
+        cfg = clean_config(pair_rate=0.0, dark_start=5e5, dark_stop=2e7, window=1e-6)
+        return replace(cfg, analyzer1=replace(cfg.analyzer1, path_delay=1.1e-6),
+                       analyzer2=replace(cfg.analyzer2, path_delay=1.1e-6))
+
     @pytest.mark.parametrize("case, monitored_only, seeds, duration", [
         ("reproduction", True, 12, 1.0),
         ("dense", True, 60, 0.02),
         ("dense", False, 30, 0.02),
         ("jittered", True, 4, 2.5),
         ("jittered", False, 2, 2.5),
+        ("short", False, 300, SHORT),
     ])
     def test_counts_match_the_closed_form(self, case, monitored_only, seeds, duration):
         cfg = {"reproduction": reproduction_config, "dense": self._dense,
-               "jittered": self._jittered}[case]()
+               "jittered": self._jittered, "short": self._short}[case]()
         d1, d2 = 0.4, cfg.analyzer2.phase
         summaries = simulate_settings(cfg, [(d1, d2, seed) for seed in range(seeds)], duration,
                                       monitored_only=monitored_only)
-        *means, spread = _closed_form(cfg, d1, d2, duration)
-        start, stop, pairs = (seeds * mean for mean in means)
-        observed = [sum(s.singles_start for s in summaries), sum(s.singles_stop for s in summaries),
-                    sum(s.coincidences[(1, 1)] for s in summaries)]
-        z = [(o - m) / math.sqrt(v) for o, m, v in zip(observed, (start, stop, pairs),
-                                                        (start, stop, pairs * spread))]
-        assert max(map(abs, z)) < 4, (z, observed)
+        start, stop, _, _ = _closed_form(cfg, d1, d2, duration)
+        rows = [(sum(s.singles_start for s in summaries), seeds * start, seeds * start),
+                (sum(s.singles_stop for s in summaries), seeds * stop, seeds * stop)]
+        for outcome in OUTCOMES[:1] if monitored_only else OUTCOMES:
+            *_, pairs, spread = _closed_form(cfg, d1, d2, duration, outcome)
+            rows.append((sum(s.coincidences[outcome] for s in summaries), seeds * pairs,
+                         seeds * pairs * spread))
+        z = [(observed - mean) / math.sqrt(var) for observed, mean, var in rows]
+        assert max(map(abs, z)) < 4, (z, [row[0] for row in rows])
+
+    def test_a_slice_shorter_than_a_window_counts_as_its_record(self):
+        # Each window is longer than the interior, so the - windows reaching
+        # it cover more grid points than it has outside the + windows: (c+)
+        # cannot be a thinning of the stop + dark counts there, and is drawn
+        # from the measured share instead.
+        cfg = self._short()
+        half = round(cfg.tphc.window_width / 2 / PS)
+        band = half + round(cfg.analyzer1.path_delay / PS) + 1
+        assert round(self.SHORT / PS) - 2 * band < 2 * half + 1
+        placed = 0
+        for seed in range(40):
+            record = emit_event_stream(cfg, 0.4, 0.0, self.SHORT, seed)
+            count = emit_event_stream(cfg, 0.4, 0.0, self.SHORT, seed, count_only=True)
+            plus = emit_event_stream(cfg, 0.4, 0.0, self.SHORT, seed, monitored_only=True,
+                                     count_only=True)
+            assert simulate_setting(cfg, 0.4, 0.0, self.SHORT, seed) == \
+                window_coincidences(record, cfg.tphc) == window_coincidences(count, cfg.tphc)
+            beyond = _beyond(count.keys, record.keys)
+            assert np.count_nonzero((beyond & 3) == CH_STOP_PLUS) == count.unplaced_stop_plus
+            placed += plus.unplaced_stop_plus - count.unplaced_stop_plus  # (c+)
+        assert placed > 0
 
 
 class TestConfigValidationPath:
