@@ -61,14 +61,16 @@ class EventStream:
     (see :func:`pack_keys`).
 
     The four ports are views computed on demand, ``keys[(keys & 3) == c] >> 2``.
-    A stream made for counting alone may leave stop + events without a
-    position: ``unplaced_stop_plus`` counts them, :func:`window_coincidences`
-    adds them to the stop singles, and such a stream is not a record.
+    A stream made for counting alone may leave + events without a position,
+    those that pair with no event: ``unplaced_stop_plus`` and
+    ``unplaced_start_plus`` count them, :func:`window_coincidences` adds them
+    to the singles, and such a stream is not a record.
     """
 
     duration: float
     keys: np.ndarray
     unplaced_stop_plus: int = 0
+    unplaced_start_plus: int = 0
 
     start_plus = _port(CH_START_PLUS)
     stop_plus = _port(CH_STOP_PLUS)
@@ -114,9 +116,10 @@ class EventStream:
                 fh.write(buffer[:len(keys)])
 
     def _check_placed(self) -> None:
-        if self.unplaced_stop_plus:
-            raise ValueError(f"the stream holds no position for {self.unplaced_stop_plus} "
-                             f"stop + events: it was made for counting, not as a record")
+        if self.unplaced_start_plus or self.unplaced_stop_plus:
+            raise ValueError(f"the stream holds no position for {self.unplaced_start_plus} "
+                             f"start + and {self.unplaced_stop_plus} stop + events: it was "
+                             f"made for counting, not as a record")
 
     @classmethod
     def read(cls, path, duration: float) -> "EventStream":
@@ -309,7 +312,7 @@ def window_coincidences(stream: EventStream, tphc: TphcParams,
                         path_delay: float | None = None) -> CountSummary:
     """Count start-stop pairs with |dt| <= window_width / 2 per output-port
     pairing, plus monitored singles and the accidental estimate. The
-    stream's unplaced stop + events count as stop singles. A window at
+    stream's unplaced start + and stop + events count as singles. A window at
     least as wide as the interferometer path delay no longer rejects the
     side peaks; that is reported as a warning, not an error.
     """
@@ -326,6 +329,7 @@ def window_coincidences(stream: EventStream, tphc: TphcParams,
                                   casting="unsafe")
         singles_start += int(np.count_nonzero(channels == CH_START_PLUS))
         singles_stop += int(np.count_nonzero(channels == CH_STOP_PLUS))
+    singles_start += stream.unplaced_start_plus
     singles_stop += stream.unplaced_stop_plus
     coinc = dict.fromkeys(OUTCOMES, 0)
     if tphc.window_width > 0:

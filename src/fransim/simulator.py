@@ -12,7 +12,7 @@ import math
 from collections import deque
 from contextlib import closing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence
 
@@ -123,17 +123,22 @@ class StartReach:
     def covered(self) -> int:
         """|U ∩ I|: grid points of the interior within ``half`` of a start.
 
-        Each window adds the W = 2 half + 1 points that its predecessor does
-        not cover, min(W, gap), a chunk of gaps at a time; the first window
-        covers all of U below lo, and the last all of U from hi on.
+        N windows of W = 2 half + 1 points cover N·W of them less
+        max(0, W - gap) for each gap between consecutive start times. A key
+        gap is 4 gap + the channel difference (at most 2), so only the few
+        key gaps under 4 W, a chunk at a time, are read as times. The first
+        window covers all of U below lo, and the last all of U from hi on.
         """
         s, half = self.near, self.half
         if not len(s):
             return 0
-        width = union = 2 * half + 1
+        width = 2 * half + 1
+        union = len(s) * width
         for at in range(0, len(s) - 1, _CHUNK):
-            gaps = np.diff(s[at:at + _CHUNK + 1] >> 2)  # times: the channels differ
-            union += int(np.minimum(gaps, width, out=gaps).sum())
+            run = s[at:at + _CHUNK + 1]
+            close = np.flatnonzero(np.diff(run) < 4 * width)
+            gaps = (run[close + 1] >> 2) - (run[close] >> 2)
+            union -= int(np.maximum(width - gaps, 0).sum())
         first, last = s[0] >> 2, s[-1] >> 2
         return union - max(0, self.lo - first + half) - max(0, last + half + 1 - self.hi)
 
@@ -201,11 +206,34 @@ def _redraw(n: int, keys: np.ndarray, reach: StartReach, free: int,
     return np.concatenate(kept) if kept else np.empty(0, np.int64)
 
 
+def _pairable(keys: np.ndarray, starts: int, end: int, half: int, front: int,
+              back: int) -> int:
+    """Write, at the front of ``keys``, the stop keys ``keys[starts:end]``
+    (in any order) merged with those of the sorted start keys
+    ``keys[:starts]`` that can pair, and return their number: the starts
+    within ``half`` of one of those stops, and those at a time before
+    ``front`` or at or past ``back``. Each stop's run of starts is clipped
+    to the edge bands and to the end of the run before it, so each start
+    is taken once."""
+    stops = np.sort(keys[starts:end])
+    s, x = keys[:starts], stops >> 2
+    f = np.searchsorted(s, 4 * front)
+    b = max(f, np.searchsorted(s, 4 * back))
+    hi = np.clip(np.searchsorted(s, 4 * (x + half + 1)), f, b)
+    lo = np.maximum(np.clip(np.searchsorted(s, 4 * (x - half)), f, b), np.r_[f, hi[:-1]])
+    n = np.maximum(hi - lo, 0)
+    runs = np.arange(n.sum()) + np.repeat(lo - np.cumsum(n) + n, n)
+    kept = np.concatenate([s[:f], s[runs], s[b:], stops])
+    kept.sort()
+    keys[:len(kept)] = kept
+    return len(kept)
+
+
 def _buffer_size(config: ExperimentConfig, dur: float, monitored_only: bool,
                  count_only: bool) -> int:
-    """The expected count of the keys that ``dur`` seconds of slices keep,
+    """The expected count of the keys that ``dur`` seconds of slices place,
     plus 9 of its standard deviations. Of the stop dark counts, a count
-    keeps only those in the windows of the starts it makes, about ports ·
+    places only those in the windows of the starts it makes, about ports ·
     start rate · window of them a second on each stop port (bands aside)."""
     src, start_det, stop_det = config.source, config.detector_start, config.detector_stop
     split = src.pair_rate * src.split_efficiency * dur
@@ -238,7 +266,7 @@ def _slice_keys(config: ExperimentConfig, probs: np.ndarray, t0_ps: int, dur: fl
                 monitored_only: bool = False, count_only: bool = False) -> tuple[np.ndarray, int]:
     """One time slice's events as sorted packed keys (see
     :func:`fransim.events.pack_keys`), a view of ``out`` if they fit in it,
-    and the number of stop + events left without a position.
+    and the numbers of stop + and of start + events left without a position.
 
     Loss thins the split pairs independently on each side, so (colouring
     theorem) pairs detected on both sides and each side's one-sided events are
@@ -260,34 +288,42 @@ def _slice_keys(config: ExperimentConfig, probs: np.ndarray, t0_ps: int, dur: fl
 
     1. start +, the stop + photons, (a+) in U+, and the number (b+), Poisson
        on I - U+. A count of the + ports alone (``monitored_only``) stops
-       here and returns (b+) as its unplaced stop + events. So its keys are
-       the + keys of the full count of the slice less (c+), and those of the
-       record less (c+) and (d+).
+       here, with (b+) as its unplaced stop + events.
     2. start -, the stop - photons, (c+), Binomial((b+), |I ∩ U- - U+| /
        |I - U+|) with positions uniform on I ∩ U- - U+ (see
        :func:`_beyond_plus`), and (a-) in U+ ∪ U-. A count of all four ports
-       (``count_only``) stops here and returns (b+) - (c+); it draws no
+       (``count_only``) stops here, with (b+) - (c+) unplaced; it draws no
        number of the stop - dark counts outside U+ ∪ U-, which no count reads.
     3. for a record, (d+), the other (b+) - (c+) stop + positions, uniform on
        I, then (d-), a Poisson process on I.
 
-    The start blocks are sorted as soon as they are packed, and the two are
-    merged in place, so |I ∩ U+ ∪ U-| comes from one pass over their gaps
-    and a count's final sort is a merge of that run with the sorted stop keys.
+    The start + block is sorted as soon as it is packed; the start - block is
+    packed after it and the two are sorted together, so |I ∩ U+ ∪ U-| comes
+    from one pass over their gaps. A count then keeps only the start keys
+    that can pair (:func:`_pairable`): those within the half-width of a
+    stop it placed, and those within ``keep`` of a slice edge, the
+    half-width, the path delay and 12 stop jitter sigmas (+1 ps), as far as
+    the stop photons of a neighbouring slice reach (its stop dark counts
+    stay in it). The start + keys it leaves out are a number, and the kept
+    keys, merged with the stops, are written at the front of the buffer.
     A record finds the (d) draws that a start reaches after its sort, by
     :func:`fransim.events.pair_positions`: the paired stop keys less the
     keys drawn in the windows and bands (equal keys are alike). A (d-) one
     is dropped, a (d+) one redrawn from the first child of ``rng``
     (:func:`_redraw`), so the redraws do not depend on how far ``rng`` has
     been drawn. Without ``out`` the key buffer is sized from the expected
-    count of the keys the slice keeps plus 9 of its standard deviations; a
+    count of the keys the slice places plus 9 of its standard deviations; a
     block that does not fit grows it.
     """
     src, start_det, stop_det = config.source, config.detector_start, config.detector_stop
     end_ps = t0_ps + max(1, round(dur / PS))  # a sub-ps last slice keeps one grid point
     delay = round(config.analyzer1.path_delay / PS)
     half = round(config.tphc.window_width / 2 / PS)
-    band = half + delay + math.ceil(JITTER_SIGMAS * fwhm_to_sigma(start_det.jitter_fwhm) / PS) + 1
+
+    def band_of(det):  # how far into the slice det's side of a neighbour can pair
+        return half + delay + math.ceil(JITTER_SIGMAS * fwhm_to_sigma(det.jitter_fwhm) / PS) + 1
+
+    band, keep = band_of(start_det), band_of(stop_det)
     lo = min(t0_ps + band, end_ps)
     hi = max(end_ps - band, lo)
     split = src.pair_rate * src.split_efficiency * dur
@@ -321,12 +357,9 @@ def _slice_keys(config: ExperimentConfig, probs: np.ndarray, t0_ps: int, dur: fl
         return apply_jitter(np.concatenate([both_time, one_time]), det, rng)
 
     def put_starts(channel):  # the sorted start keys give the windows
-        begin = end
         put(photons(channel), channel)
         put(generate_dark_counts(start_det.dark_rate, dur, rng, t0_ps), channel)
-        keys[begin:end].sort()
-        if begin:
-            keys[:end].sort(kind="stable")  # a merge with the start + run, in place
+        keys[:end].sort()  # a start - block is sorted with the start + run
         return StartReach(keys[:end], half, t0_ps, end_ps, lo, hi)
 
     mu = stop_det.dark_rate * PS
@@ -347,17 +380,19 @@ def _slice_keys(config: ExperimentConfig, probs: np.ndarray, t0_ps: int, dur: fl
         put(_beyond_plus(placed, both, area, rng), CH_STOP_PLUS)
         unplaced -= placed
         put(generate_dark_counts(stop_det.dark_rate, dur, rng, t0_ps, both), CH_STOP_MINUS)
+    if count_only:
+        kept = _pairable(keys, starts, end, half, t0_ps + keep, end_ps - keep)
+        plus_kept = int(np.count_nonzero(keys[:kept] & 3 == CH_START_PLUS))
+        return keys[:kept], unplaced, len(plus.starts) - plus_kept
     drawn = end
-    if not count_only:  # (d+), then (d-), a chunk at a time
-        for channel, n in ((CH_STOP_PLUS, unplaced), (CH_STOP_MINUS, rng.poisson(mu * (hi - lo)))):
-            for at in range(0, n, _CHUNK):
-                put(rng.integers(lo, hi, min(_CHUNK, n - at)), channel)
-        unplaced = 0
+    for channel, n in ((CH_STOP_PLUS, unplaced), (CH_STOP_MINUS, rng.poisson(mu * (hi - lo)))):
+        for at in range(0, n, _CHUNK):  # (d+), then (d-), a chunk at a time
+            put(rng.integers(lo, hi, min(_CHUNK, n - at)), channel)
     keys = keys[:end]
     if end == drawn:
         keys[starts:].sort()
         keys.sort(kind="stable")  # a merge of the sorted start and stop runs
-        return keys, unplaced
+        return keys, 0, 0
     inner = np.sort(keys[starts:drawn])  # the stop keys drawn in the windows and bands
     keys.sort()
     # The (d) draws that a start reaches: the paired stop keys less the inner ones.
@@ -368,7 +403,7 @@ def _slice_keys(config: ExperimentConfig, probs: np.ndarray, t0_ps: int, dur: fl
                  - np.searchsorted(inner, values)].tolist()
     moved = np.count_nonzero(keys[drop] & 3 == CH_STOP_PLUS)
     redrawn = _redraw(moved, keys, both, hi - lo - covered, rng.spawn(1)[0]) * 4 + CH_STOP_PLUS
-    return keys[:_mend(keys, drop, np.sort(redrawn))], 0
+    return keys[:_mend(keys, drop, np.sort(redrawn))], 0, 0
 
 
 def _in_order(make, n_jobs: int):
@@ -430,10 +465,11 @@ def emit_event_stream(config: ExperimentConfig, d1: float, d2: float, duration: 
     :data:`fransim.quantum.PAIR_LAWS`.
 
     With ``count_only`` the stream is made for counting, not as a record:
-    the stop dark counts that no start can reach are left without positions
-    (see :func:`_slice_keys`). Those of the stop + port are counted in
-    ``unplaced_stop_plus``; those of the stop - port are not drawn. Its keys
-    are record keys, and every count of
+    the stop dark counts that no start can reach, and then the starts that
+    no event can reach, are left without positions (see :func:`_slice_keys`).
+    Those of the + ports are counted in ``unplaced_stop_plus`` and
+    ``unplaced_start_plus``; the stop - ones are not drawn and the start -
+    ones are dropped. Its keys are record keys, and every count of
     :func:`fransim.events.window_coincidences` equals the record's. With
     ``monitored_only`` as well, only the + ports are made: each slice stops
     after its start + and stop + blocks, the first of the stream, so every +
@@ -469,21 +505,22 @@ def emit_event_stream(config: ExperimentConfig, d1: float, d2: float, duration: 
         return EventStream(duration, *make(0, out))
     keys = np.empty(_buffer_size(config, duration, monitored_only, count_only),
                     np.int64)
-    end = unplaced = 0
+    end = unplaced = unplaced_start = 0
     ordered = True
     with closing(_in_order(make, len(durations))) as parts:
-        for part, n in parts:
+        for part, n_stop, n_start in parts:
             if end and len(part) and part[0] < keys[end - 1]:
                 ordered = False
             if end + len(part) > len(keys):
                 keys = np.concatenate([keys[:end], np.empty(max(len(part), len(keys)), np.int64)])
             keys[end:end + len(part)] = part
             end += len(part)
-            unplaced += n
+            unplaced += n_stop
+            unplaced_start += n_start
     keys = keys[:end]
     if not ordered:
         keys.sort(kind="stable")  # a merge of the sorted slice runs
-    return EventStream(duration, keys, unplaced)
+    return EventStream(duration, keys, unplaced, unplaced_start)
 
 
 def simulate_setting(config: ExperimentConfig, d1: float, d2: float,
@@ -504,9 +541,10 @@ def simulate_settings(config: ExperimentConfig, settings: Sequence[tuple[float, 
     run by :func:`_in_order`, so at most two slices are alive. Each job
     makes one slice with :func:`emit_event_stream` for counting
     (``count_only``: of the stop dark counts, only those within a window of
-    one of the slice's starts, or in its edge bands, get a position; see
-    :func:`_slice_keys`) and counts it alone with
-    :func:`fransim.events.window_coincidences`.
+    one of the slice's starts, or in its edge bands, get a position, and of
+    the starts only those within a window of one of those stops, or near a
+    slice edge, are kept; see :func:`_slice_keys`) and counts its few kept
+    keys alone with :func:`fransim.events.window_coincidences`.
 
     A pair is counted with its later event's slice. With no keys carried from
     earlier slices of the setting, the slice's own count is taken; otherwise
@@ -517,8 +555,9 @@ def simulate_settings(config: ExperimentConfig, settings: Sequence[tuple[float, 
     ``reach`` plus ``JITTER_SIGMAS`` of the larger detector jitter.
 
     That is exact because each slice is checked, on its first key, to emit
-    no event before its ``t0 - margin``, and the partner of any of its
-    events lies within ``reach``; a violation raises ``RuntimeError``.
+    no event before its ``t0 - margin`` (a count keeps every event before
+    its ``t0``), and the partner of any of its events lies within
+    ``reach``; a violation raises ``RuntimeError``.
     Counts and singles equal ``window_coincidences`` on the whole-run
     :func:`emit_event_stream` record of the setting, and the accidental
     estimate comes once from the singles totals, the estimator the
@@ -535,9 +574,9 @@ def simulate_settings(config: ExperimentConfig, settings: Sequence[tuple[float, 
     margin = reach + math.ceil(JITTER_SIGMAS * sigma / PS) + 1
     n_slices, n_jobs = len(durations), len(settings) * len(durations)
 
-    def tally(keys, unplaced=0):
-        """The pairings, then the start and stop singles, of ``keys`` alone."""
-        counted = window_coincidences(EventStream(SLICE_SECONDS, keys, unplaced), config.tphc)
+    def tally(stream):
+        """The pairings, then the start and stop singles, of ``stream`` alone."""
+        counted = window_coincidences(stream, config.tphc)
         return np.array([*map(counted.coincidences.get, OUTCOMES), counted.singles_start,
                          counted.singles_stop], np.int64)
 
@@ -546,14 +585,13 @@ def simulate_settings(config: ExperimentConfig, settings: Sequence[tuple[float, 
         stream = emit_event_stream(config, d1, d2, durations[k], seed, start=k * SLICE_SECONDS,
                                    out=out, law=law, monitored_only=monitored_only,
                                    count_only=True)
-        return stream.keys, stream.unplaced_stop_plus, tally(stream.keys,
-                                                             stream.unplaced_stop_plus)
+        return stream.keys, stream, tally(stream)
 
     summaries = []
     carry = np.empty(0, np.int64)  # sorted keys of earlier events a later slice may reach
     totals = np.zeros(len(OUTCOMES) + 2, np.int64)
     with closing(_in_order(make, n_jobs)) as slices:
-        for job, (keys, unplaced, alone) in enumerate(slices):
+        for job, (keys, stream, alone) in enumerate(slices):
             k = job % n_slices
             floor = k * SLICE_PS - margin
             if len(keys) and keys[0] >> 2 < floor:
@@ -563,7 +601,8 @@ def simulate_settings(config: ExperimentConfig, settings: Sequence[tuple[float, 
                     f"stream margin is too small")
             if len(carry):  # the carry's own pairs and singles were counted with an earlier slice
                 keys = np.insert(keys, np.searchsorted(keys, carry), carry)
-                totals += tally(keys, unplaced) - tally(carry)
+                carried = EventStream(SLICE_SECONDS, carry)
+                totals += tally(replace(stream, keys=keys)) - tally(carried)
             else:
                 totals += alone
             if k + 1 < n_slices:

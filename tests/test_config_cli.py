@@ -269,6 +269,14 @@ class TestCli:
         assert [line.split()[-3] for line in lines[1:]] == ["33.28", "0.9413", "0.02786",
                                                             "8.407"]
 
+    def test_simulate_pins_a_full_count(self, tmp_path):
+        # A full count of all four ports. A change that moves its stream on
+        # purpose updates this row and says so.
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--dwell", "7.5", "--seed", "3", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1] == \
+            "7.5,1875871,1354124,917,152,147,928,118.54089062685334"
+
     def test_fringe_less_reproduction_prints_its_verdict(self, capsys):
         # A 0.1 us dwell sees no coincidence, so the fit is flat with no
         # error on V: the table still prints, its rows fail, and it exits 1.

@@ -17,8 +17,8 @@ from scipy import stats
 
 from conftest import clean_config, stops_moved
 from fransim import analysis, events, simulator
-from fransim.config import (ConfigError, DetectorParams, TphcParams, loads_config,
-                            reproduction_config)
+from fransim.config import (JITTER_SIGMAS, ConfigError, DetectorParams, TphcParams,
+                            loads_config, reproduction_config)
 from fransim.events import (
     CH_START_PLUS,
     CH_STOP_PLUS,
@@ -300,17 +300,21 @@ class TestEventStream:
                     simulate_setting(config, 0.4, -0.1, duration, seed), (config, duration)
 
     def test_a_counting_stream_is_not_a_record(self, tmp_path):
-        # A count keeps the stop + dark counts that no start reaches as a
-        # number: the stop singles, not a record. The + ports alone are only
-        # ever made for counting.
+        # A count keeps the + events that pair with no event as numbers: the
+        # singles, not a record. The + ports alone are only ever made for
+        # counting.
         cfg = reproduction_config()
         record = emit_event_stream(cfg, 0.3, 0.0, 1.0, 4)
         count = emit_event_stream(cfg, 0.3, 0.0, 1.0, 4, count_only=True)
         assert count.unplaced_stop_plus > 300_000 and record.unplaced_stop_plus == 0
+        assert count.unplaced_start_plus > 200_000 and record.unplaced_start_plus == 0
         beyond = _beyond(count.keys, record.keys)
         assert np.count_nonzero((beyond & 3) == CH_STOP_PLUS) == count.unplaced_stop_plus
+        assert np.count_nonzero((beyond & 3) == CH_START_PLUS) == count.unplaced_start_plus
         assert window_coincidences(count, cfg.tphc) == window_coincidences(record, cfg.tphc)
+        starts_only = replace(count, unplaced_stop_plus=0)
         for write in (count.to_records, lambda: count.write(tmp_path / "x.frsn"),
+                      starts_only.to_records, lambda: starts_only.write(tmp_path / "y.frsn"),
                       lambda: emit_event_stream(cfg, 0.3, 0.0, 1.0, 4, monitored_only=True)):
             with pytest.raises(ValueError, match="made for counting"):
                 write()
@@ -509,8 +513,8 @@ def test_reading_holds_the_keys_and_a_few_chunks(tmp_path):
 
 class TestMonitoredOnly:
     """A fringe scan makes and counts the + ports alone; these check that this
-    is the + part of the full count, itself a part of the record, and leaves
-    the counts it reads alone."""
+    count and the full count are parts of the record, and that it leaves the
+    counts it reads alone."""
 
     @staticmethod
     def _config(dark_only, lossy, jitter):
@@ -533,15 +537,13 @@ class TestMonitoredOnly:
         full = emit_event_stream(cfg, d1, 0.2, duration, seed, law=law, count_only=True)
         plus = emit_event_stream(cfg, d1, 0.2, duration, seed, law=law, monitored_only=True,
                                  count_only=True)
-        # The full count holds record keys and counts the stop + ones it leaves out.
-        beyond = _beyond(full.keys, record.keys)
-        assert np.count_nonzero((beyond & 3) == CH_STOP_PLUS) == full.unplaced_stop_plus
+        # Each count holds record keys and counts the + ones it leaves out.
+        for count in (full, plus):
+            beyond = _beyond(count.keys, record.keys)
+            assert [np.count_nonzero((beyond & 3) == channel)
+                    for channel in (CH_START_PLUS, CH_STOP_PLUS)] == \
+                [count.unplaced_start_plus, count.unplaced_stop_plus]
         assert window_coincidences(full, cfg.tphc) == window_coincidences(record, cfg.tphc)
-        # The + count is the + part of the full count, less the stop + dark
-        # counts that the full count places in the windows of the - starts.
-        more = _beyond(plus.keys, full.keys[(full.keys & 2) == 0])
-        assert (more & 3 == CH_STOP_PLUS).all()
-        assert len(more) == plus.unplaced_stop_plus - full.unplaced_stop_plus
 
         whole = simulate_settings(cfg, [(d1, 0.2, seed)], duration, law=law)[0]
         part = simulate_settings(cfg, [(d1, 0.2, seed)], duration, law=law,
@@ -844,6 +846,41 @@ class TestStreamingSlices:
         assert len(carry) and len(merged) == len(second) + len(carry)
         np.testing.assert_array_equal(carry, first[len(first) - len(carry):])
         np.testing.assert_array_equal(np.sort(np.concatenate([second, carry])), merged)
+
+    @pytest.mark.parametrize("start_jitter, stop_jitter", [(0.0, 2e-6), (2e-6, 0.0)])
+    def test_a_count_keeps_every_start_a_neighbouring_slice_reaches(self, start_jitter,
+                                                                    stop_jitter):
+        # The stop photons of a neighbouring slice reach keep = half + path
+        # delay + 12 stop jitter sigmas + 1 ps into a slice (its stop dark
+        # counts never leave it), so a count keeps every start that close to
+        # one of its edges. Here the stop jitter is far wider than the path
+        # delay and the start jitter, or far narrower.
+        cfg = clean_config(pair_rate=1e5, dark_start=1e5, dark_stop=1e5, window=1e-6)
+        cfg = replace(cfg, analyzer1=replace(cfg.analyzer1, path_delay=1.1e-6),
+                      analyzer2=replace(cfg.analyzer2, path_delay=1.1e-6),
+                      detector_start=replace(cfg.detector_start, jitter_fwhm=start_jitter),
+                      detector_stop=replace(cfg.detector_stop, jitter_fwhm=stop_jitter))
+        keep = (round(cfg.tphc.window_width / 2 / PS) + round(cfg.analyzer1.path_delay / PS)
+                + math.ceil(JITTER_SIGMAS * fwhm_to_sigma(stop_jitter) / PS) + 1)
+        duration, held = 2.5, 0
+        for seed in range(3):
+            record = emit_event_stream(cfg, 0.4, 0.0, duration, seed)
+            assert simulate_setting(cfg, 0.4, 0.0, duration, seed) == \
+                window_coincidences(record, cfg.tphc)
+            for k in range(3):
+                dur = min(1.0, duration - k)
+                t0, end = k * SLICE_PS, k * SLICE_PS + round(dur / PS)
+
+                def near_an_edge(keys):
+                    time = keys >> 2
+                    return ((keys & 1) == 0) & ((time < t0 + keep) | (time >= end - keep))
+
+                count = emit_event_stream(cfg, 0.4, 0.0, dur, seed, start=k, count_only=True)
+                left = _beyond(count.keys, emit_event_stream(cfg, 0.4, 0.0, dur, seed,
+                                                             start=k).keys)
+                assert not near_an_edge(left).any(), left[near_an_edge(left)] >> 2
+                held += np.count_nonzero(near_an_edge(count.keys))
+        assert held  # the edge bands hold starts, so the check above reads some
 
     def test_a_carry_stays_in_its_setting(self, monkeypatch):
         # Each setting's first slice ends on a pair that is carried into its
