@@ -42,23 +42,26 @@ def brute_delays(starts, stops, lo_ps, hi_ps):
 
 # numpy-heavy examples can exceed Hypothesis' 200 ms default deadline on a loaded machine.
 @settings(deadline=None)
-@given(stream=streams, half=st.integers(1, 12))
+@given(stream=streams, half=st.integers(1, 12), chunk=st.integers(1, 5))
 @example(stream=EventStream.from_ports(1.0, _ps(-3, 0, 0), _ps(), _ps(-8, -3, 2, 2, 3), _ps(7)),
-         half=5)  # duplicates, an empty port, ties at +- half
-def test_window_counts_match_double_loop(stream, half):
+         half=5, chunk=2)  # duplicates, an empty port, ties at +- half
+def test_window_counts_match_double_loop(stream, half, chunk):
     tphc = TphcParams(window_width=2 * half * PS)
-    got = window_coincidences(stream, tphc).coincidences
+    with mock.patch.object(events, "_CHUNK", chunk):  # pairs across chunks and halves
+        got = window_coincidences(stream, tphc).coincidences
     for i, j in OUTCOMES:
         pairs = brute_delays(stream.port("start", i), stream.port("stop", j), -half, half)
         assert got[(i, j)] == len(pairs), (i, j)
 
 
 @settings(deadline=None)
-@given(stream=streams, range_ps=st.integers(1, 30), bin_ps=st.integers(1, 8))
+@given(stream=streams, range_ps=st.integers(1, 30), bin_ps=st.integers(1, 8),
+       chunk=st.integers(1, 5))
 @example(stream=EventStream.from_ports(1.0, _ps(0, 0), _ps(-10), _ps(-20, 10, 10), _ps()),
-         range_ps=10, bin_ps=5)  # duplicates, an empty port, ties at +-range
-def test_histogram_matches_double_loop(stream, range_ps, bin_ps):
-    hist = build_histogram(stream, bin_ps * PS, range_ps * PS)
+         range_ps=10, bin_ps=5, chunk=2)  # duplicates, an empty port, ties at +-range
+def test_histogram_matches_double_loop(stream, range_ps, bin_ps, chunk):
+    with mock.patch.object(events, "_CHUNK", chunk):  # pairs across chunks and halves
+        hist = build_histogram(stream, bin_ps * PS, range_ps * PS)
     delays = brute_delays(side_times(stream, "start"), side_times(stream, "stop"),
                           -range_ps, range_ps)
     # Integer-ps bins [edge, next edge); the last one is closed on the right.

@@ -473,6 +473,43 @@ class TestChunkedRecords:
         expected = EventStream.from_ports(1.0, _ps(1, 3, 4), _ps(), _ps(2, 9, 10), _ps())
         np.testing.assert_array_equal(EventStream.read(path, 1.0).keys, expected.keys)
 
+    def test_time_going_backwards_at_the_split_reads_back_sorted(self, tmp_path):
+        # 16 records are read in two halves, 0-7 and 8-15, on two threads; the
+        # only decrease is from record 7 (time 14) to record 8 (time 1).
+        path = tmp_path / "split.frsn"
+        self._write_v1(path, [(0, 2 * t) for t in range(8)] + [(1, 2 * t + 1) for t in range(8)])
+        expected = EventStream.from_ports(1.0, _ps(*range(0, 16, 2)), _ps(),
+                                          _ps(*range(1, 16, 2)), _ps())
+        np.testing.assert_array_equal(EventStream.read(path, 1.0).keys, expected.keys)
+
+    @pytest.mark.parametrize("old", [None, 3, 40])  # no file, a shorter one, a longer one
+    @pytest.mark.parametrize("cut", [4, 8, 12])  # a chunk of the first half, then the second
+    def test_a_write_cut_short_is_refused(self, tmp_path, monkeypatch, old, cut):
+        path = tmp_path / "events.frsn"
+        if old is not None:
+            EventStream(1.0, np.arange(old, dtype=np.int64) * 4).write(path)
+        stream = EventStream(1.0, np.arange(16, dtype=np.int64) * 8 + 1)
+        encode = events._encode
+
+        def fail_at_cut(keys, records):
+            if keys[0] == stream.keys[cut]:
+                raise OSError("no space left")
+            encode(keys, records)
+        monkeypatch.setattr(events, "_encode", fail_at_cut)
+        with pytest.raises(OSError, match="no space left"):
+            stream.write(path)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            EventStream.read(path, 1.0)
+
+    @pytest.mark.parametrize("old_bytes", [0, 7, 5 + 9 * 16, 1000])
+    def test_writing_over_a_file_gives_the_bytes_of_a_fresh_write(self, tmp_path, old_bytes):
+        stream = EventStream(1.0, np.arange(16, dtype=np.int64) * 8 + 1)
+        fresh, over = tmp_path / "fresh.frsn", tmp_path / "over.frsn"
+        stream.write(fresh)
+        over.write_bytes(b"\xff" * old_bytes)
+        stream.write(over)
+        assert over.read_bytes() == fresh.read_bytes()
+
     @pytest.mark.parametrize("bad, match", [((7, 20), "unknown channel byte 7"),
                                             ((1, PACK_LIMIT_PS), "packable"),
                                             ((1, -PACK_LIMIT_PS), "packable")])
