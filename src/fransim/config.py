@@ -29,9 +29,9 @@ class ConfigError(ValueError):
 
 
 SLICE_SECONDS = 1.0  # the simulator's batching granularity for the derived RNG streams
-# Jitter bound of the simulator's streaming margin, in standard deviations: a
-# Gaussian offset lies past it with probability below 1e-32 per event. It
-# must fit in one slice, so validation rejects a wider jitter.
+# Jitter bound of a slice's edge bands, in standard deviations: a Gaussian
+# offset lies past it with probability below 1e-32 per event. It must fit in
+# one slice, so validation rejects a wider jitter.
 JITTER_SIGMAS = 12
 
 

@@ -408,12 +408,15 @@ def build_histogram(stream: EventStream, bin_width: float, range_: float) -> His
     total count equals the number of paired events. Sizing and filling are in
     integer ps: the range and bin width are rounded to the grid, and the
     ceil(2 range / bin) bins are [edge, edge + bin), the last one also holding
-    dt = +range. A bin width that rounds to 0 ps raises ``ValueError``.
+    dt = +range. A bin width that rounds to 0 ps, or a range that rounds
+    below 0 ps, raises ``ValueError``.
     """
     bin_ps = round(bin_width / PS)
     if bin_ps <= 0:
         raise ValueError(f"bin_width must be at least 1 ps after rounding, got {bin_width}")
     range_ps = round(range_ / PS)
+    if range_ps < 0:
+        raise ValueError(f"range_ must be at least 0 ps after rounding, got {range_}")
     nbins = max(1, -(-2 * range_ps // bin_ps))
     keys = stream.keys
     starts, stops = pair_positions(keys, range_ps)

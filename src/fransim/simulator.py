@@ -12,8 +12,9 @@ import math
 from collections import deque
 from contextlib import closing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -25,8 +26,6 @@ from .events import (
     CH_START_PLUS,
     CH_STOP_MINUS,
     CH_STOP_PLUS,
-    CHANNEL_PORTS,
-    OUTCOMES,
     PACK_LIMIT_PS,
     PS,
     _CHUNK,
@@ -443,6 +442,31 @@ def _slice_durations(first_slice: int, duration: float) -> list[float]:
     return [min(SLICE_SECONDS, duration - n * SLICE_SECONDS) for n in range(n_slices)]
 
 
+def _join(parts, duration: float, size: int) -> EventStream:
+    """The stream of ``duration`` whose keys are the sorted key runs of
+    consecutive slices, ``(keys, unplaced stop +, unplaced start +)`` each,
+    copied in order into one array of ``size`` keys that grows when a run
+    does not fit, and sorted (a stable merge of the runs) only if a run
+    starts before the end of the one before it. Each run is copied before the
+    next is taken, so its buffer may then be reused."""
+    keys = np.empty(size, np.int64)
+    end = unplaced = unplaced_start = 0
+    ordered = True
+    for part, n_stop, n_start in parts:
+        if end and len(part) and part[0] < keys[end - 1]:
+            ordered = False
+        if end + len(part) > len(keys):
+            keys = np.concatenate([keys[:end], np.empty(max(len(part), len(keys)), np.int64)])
+        keys[end:end + len(part)] = part
+        end += len(part)
+        unplaced += n_stop
+        unplaced_start += n_start
+    keys = keys[:end]
+    if not ordered:
+        keys.sort(kind="stable")
+    return EventStream(duration, keys, unplaced, unplaced_start)
+
+
 def emit_event_stream(config: ExperimentConfig, d1: float, d2: float, duration: float,
                       seed: int, *, start: float = 0.0, out: np.ndarray | None = None,
                       law: str = "quantum", monitored_only: bool = False,
@@ -454,11 +478,11 @@ def emit_event_stream(config: ExperimentConfig, d1: float, d2: float, duration: 
     end within 2**61 ps. Each slice draws from its own (seed, slice index)
     stream, so merging the keys of consecutive spans gives the record of the
     whole span; a span of several slices is made on two pool threads (see
-    :func:`_in_order`) and its slices are sorted together only if one
-    reaches before the end of an earlier one. Feeding a whole-run record
-    (``start = 0``) into :func:`fransim.events.window_coincidences`
-    reproduces :func:`simulate_setting` exactly for the same seed. For a
-    one-slice span,
+    :func:`_in_order`) and joined by :func:`_join`, into an array sized for a
+    record (see :func:`_buffer_size`) or grown from the few keys that each
+    slice of a count keeps. Feeding a whole-run record (``start = 0``) into
+    :func:`fransim.events.window_coincidences` reproduces
+    :func:`simulate_setting` exactly for the same seed. For a one-slice span,
     an int64 ``out`` large enough for the slice receives its keys and the
     stream's keys are a view of it; a smaller one is replaced by a new array.
     ``law`` names the law of pairs detected on both sides in
@@ -503,30 +527,15 @@ def emit_event_stream(config: ExperimentConfig, d1: float, d2: float, duration: 
 
     if len(durations) == 1:
         return EventStream(duration, *make(0, out))
-    keys = np.empty(_buffer_size(config, duration, monitored_only, count_only),
-                    np.int64)
-    end = unplaced = unplaced_start = 0
-    ordered = True
+    size = 0 if count_only else _buffer_size(config, duration, False, False)
     with closing(_in_order(make, len(durations))) as parts:
-        for part, n_stop, n_start in parts:
-            if end and len(part) and part[0] < keys[end - 1]:
-                ordered = False
-            if end + len(part) > len(keys):
-                keys = np.concatenate([keys[:end], np.empty(max(len(part), len(keys)), np.int64)])
-            keys[end:end + len(part)] = part
-            end += len(part)
-            unplaced += n_stop
-            unplaced_start += n_start
-    keys = keys[:end]
-    if not ordered:
-        keys.sort(kind="stable")  # a merge of the sorted slice runs
-    return EventStream(duration, keys, unplaced, unplaced_start)
+        return _join(parts, duration, size)
 
 
 def simulate_setting(config: ExperimentConfig, d1: float, d2: float,
                      duration: float, seed: int) -> CountSummary:
-    """Simulate one phase setting and window-discriminate the coincidences:
-    :func:`simulate_settings` of the one setting ``(d1, d2, seed)``."""
+    """Simulate one phase setting and count its window coincidences once,
+    over the whole dwell: :func:`simulate_settings` of ``(d1, d2, seed)``."""
     return simulate_settings(config, [(d1, d2, seed)], duration)[0]
 
 
@@ -540,79 +549,26 @@ def simulate_settings(config: ExperimentConfig, settings: Sequence[tuple[float, 
     The 1 s slices of all the settings are one pipeline of jobs, in order,
     run by :func:`_in_order`, so at most two slices are alive. Each job
     makes one slice with :func:`emit_event_stream` for counting
-    (``count_only``: of the stop dark counts, only those within a window of
-    one of the slice's starts, or in its edge bands, get a position, and of
-    the starts only those within a window of one of those stops, or near a
-    slice edge, are kept; see :func:`_slice_keys`) and counts its few kept
-    keys alone with :func:`fransim.events.window_coincidences`.
-
-    A pair is counted with its later event's slice. With no keys carried from
-    earlier slices of the setting, the slice's own count is taken; otherwise
-    the slice's keys merged with the carry are counted, less the count of the
-    carry alone, whose pairs and singles an earlier slice counted. The carry
-    keeps the merged events at or past ``t0 - margin - reach`` of the next
-    slice, where ``reach`` is the window's half-width and ``margin`` is
-    ``reach`` plus ``JITTER_SIGMAS`` of the larger detector jitter.
-
-    That is exact because each slice is checked, on its first key, to emit
-    no event before its ``t0 - margin`` (a count keeps every event before
-    its ``t0``), and the partner of any of its events lies within
-    ``reach``; a violation raises ``RuntimeError``.
-    Counts and singles equal ``window_coincidences`` on the whole-run
-    :func:`emit_event_stream` record of the setting, and the accidental
-    estimate comes once from the singles totals, the estimator the
-    whole-stream path uses. With ``monitored_only`` only the + ports are made
-    and counted (see :func:`emit_event_stream`); pairings with a - port read
-    0, and the other counts are those of the full count of the same settings.
+    (``count_only``, see :func:`_slice_keys`), which keeps only the keys
+    that can pair. The calling thread joins the slices of a setting with
+    :func:`_join`, as a multi-slice count of :func:`emit_event_stream` does,
+    and counts them once with :func:`fransim.events.window_coincidences`, so
+    the counts and singles equal those of the setting's whole-run record.
+    With ``monitored_only`` only the + ports are made and counted (see
+    :func:`emit_event_stream`); pairings with a - port read 0, and the other
+    counts are those of the full count of the same settings.
     """
     durations = _slice_durations(0, duration)
     validate_config(config)
-    reach = round(config.tphc.window_width / 2 / PS)
-    sigma = fwhm_to_sigma(max(config.detector_start.jitter_fwhm,
-                              config.detector_stop.jitter_fwhm))
-    # +1 ps covers rounding the jittered times to the grid.
-    margin = reach + math.ceil(JITTER_SIGMAS * sigma / PS) + 1
-    n_slices, n_jobs = len(durations), len(settings) * len(durations)
-
-    def tally(stream):
-        """The pairings, then the start and stop singles, of ``stream`` alone."""
-        counted = window_coincidences(stream, config.tphc)
-        return np.array([*map(counted.coincidences.get, OUTCOMES), counted.singles_start,
-                         counted.singles_stop], np.int64)
+    n_slices = len(durations)
 
     def make(job, out):
         (d1, d2, seed), k = settings[job // n_slices], job % n_slices
         stream = emit_event_stream(config, d1, d2, durations[k], seed, start=k * SLICE_SECONDS,
                                    out=out, law=law, monitored_only=monitored_only,
                                    count_only=True)
-        return stream.keys, stream, tally(stream)
+        return stream.keys, stream.unplaced_stop_plus, stream.unplaced_start_plus
 
-    summaries = []
-    carry = np.empty(0, np.int64)  # sorted keys of earlier events a later slice may reach
-    totals = np.zeros(len(OUTCOMES) + 2, np.int64)
-    with closing(_in_order(make, n_jobs)) as slices:
-        for job, (keys, stream, alone) in enumerate(slices):
-            k = job % n_slices
-            floor = k * SLICE_PS - margin
-            if len(keys) and keys[0] >> 2 < floor:
-                raise RuntimeError(
-                    f"slice {k} emitted a {CHANNEL_PORTS[keys[0] & 3]} event at "
-                    f"{keys[0] >> 2} ps, before its {floor} ps floor: the {margin} ps "
-                    f"stream margin is too small")
-            if len(carry):  # the carry's own pairs and singles were counted with an earlier slice
-                keys = np.insert(keys, np.searchsorted(keys, carry), carry)
-                carried = EventStream(SLICE_SECONDS, carry)
-                totals += tally(replace(stream, keys=keys)) - tally(carried)
-            else:
-                totals += alone
-            if k + 1 < n_slices:
-                bound = 4 * ((k + 1) * SLICE_PS - margin - reach)
-                # A copy: the key buffer goes to the job two places on.
-                carry = keys[np.searchsorted(keys, bound):].copy()
-            else:
-                *coinc, singles_start, singles_stop = totals.tolist()
-                summaries.append(CountSummary.from_counts(
-                    duration, singles_start, singles_stop, dict(zip(OUTCOMES, coinc)),
-                    config.tphc.window_width))
-                carry, totals = carry[:0], np.zeros_like(totals)
-    return summaries
+    with closing(_in_order(make, len(settings) * n_slices)) as slices:
+        return [window_coincidences(_join(islice(slices, n_slices), duration, 0), config.tphc)
+                for _ in settings]

@@ -108,6 +108,14 @@ class TestHistogram:
         with pytest.raises(ValueError, match="1 ps"):
             build_histogram(EventStream.from_ports(1.0, empty, empty, empty, empty), 0.4e-12, 1e-9)
 
+    def test_range_rounding_below_zero_ps_rejected(self):
+        # -2 ns made one empty bin with its origin at +2 ns; -0.4 ps rounds to 0 ps.
+        empty = np.empty(0, dtype=np.int64)
+        stream = EventStream.from_ports(1.0, empty, empty, empty, empty)
+        with pytest.raises(ValueError, match="range_"):
+            build_histogram(stream, 50e-12, -2e-9)
+        assert len(build_histogram(stream, 50e-12, -0.4e-12).counts) == 1
+
     def test_integer_ps_bin_count_and_closed_edges(self):
         # 2 * 2 ns / 20 ps is 200.00000000000003 in floating point, but 200 bins.
         empty = np.empty(0, dtype=np.int64)
@@ -441,7 +449,7 @@ class TestChshExperiment:
 
     @pytest.mark.parametrize("law", ["quantum", "lhv"])
     def test_counts_equal_each_setting_at_its_seed(self, monkeypatch, law):
-        # 1.5 s settings: a carry must not reach from one setting into the next.
+        # 1.5 s settings: the keys of one setting must not reach into the next.
         cfg = clean_config(pair_rate=3e4, dark_start=2e3, dark_stop=3e3,
                            jitter_stop=200e-12, seed=21)
         got = []

@@ -1,3 +1,5 @@
+import ast
+import glob
 import os
 import subprocess
 import sys
@@ -11,6 +13,36 @@ from fransim import analysis, config, simulator
 @pytest.mark.parametrize("module", [config, simulator, analysis], ids=lambda m: m.__name__)
 def test_every_exported_name_resolves(module):
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+def _unused_imports(path):
+    """The names that ``path`` imports and neither uses nor lists in
+    ``__all__``, leaving out ``__future__`` imports and those whose line
+    carries ``# noqa: F401``."""
+    with open(path) as fh:
+        source = fh.read()
+    tree, lines = ast.parse(source), source.splitlines()
+    imported, used = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets):
+            used.update(ast.literal_eval(node.value))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                if "# noqa: F401" not in lines[node.lineno - 1] + lines[alias.lineno - 1]:
+                    imported[alias.asname or alias.name.split(".")[0]] = alias.lineno
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(
+    os.path.dirname(fransim.__file__), "*.py"))), ids=os.path.basename)
+def test_no_unused_imports(path):
+    # No linter runs with the tests, so an import that a deletion leaves behind shows here.
+    assert _unused_imports(path) == []
 
 
 def test_runtime_imports_no_scipy():

@@ -3,7 +3,6 @@ import re
 import struct
 import sys
 import threading
-import time
 import tracemalloc
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import replace
@@ -775,20 +774,21 @@ class TestConfigValidationPath:
 
 
 class TestStreamingSlices:
-    """simulate_setting windows each slice as it is made and carries only the
-    events near the next boundary; these check that cut and carry."""
+    """simulate_setting makes each slice for counting, joins the slices of a
+    setting and counts them once; these check that cut and join."""
 
     @settings(deadline=None, max_examples=200)
     @given(data=st.data(), n_slices=st.integers(1, 3), half=st.integers(1, 340))
     def test_cut_and_carry_counts_every_pair_once(self, data, n_slices, half):
-        # Hand-made slices crowd events around each boundary. Like real ones,
-        # a slice's events lie at or past its start, and either side may lead
-        # the start by up to the margin, half + 1 ps without jitter, the floor
-        # simulate_setting checks.
+        # Hand-made slices crowd events around each boundary. Either side may
+        # lead its slice's start by up to a whole slice, far past the half +
+        # 1 ps that a slice without jitter reaches, into the head or the tail
+        # of the slice before.
         tphc = TphcParams(window_width=2 * half * PS)
         cfg = replace(clean_config(), tphc=tphc)
         offsets = st.lists(st.integers(0, 3000), max_size=5)
-        leads = st.lists(st.integers(1, half + 1), max_size=3)
+        leads = st.lists(st.one_of(st.integers(1, 3000), st.integers(SLICE_PS - 3000, SLICE_PS)),
+                         max_size=3)
         slices = []
         for k in range(n_slices):
             ports = {}
@@ -809,44 +809,11 @@ class TestStreamingSlices:
             for name in PORTS})
         assert got == window_coincidences(whole, tphc)
 
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_real_carry_into_reused_buffers(self, monkeypatch, seed):
-        # A 10 us stop jitter widens the margin to about 50 us, so a few events
-        # are carried over each boundary into slices made in reused buffers.
-        cfg = clean_config(pair_rate=2e4, dark_start=2e4, dark_stop=2e4, jitter_stop=1e-5)
-        made, counted = {}, []
-        real_emit, real_window = simulator.emit_event_stream, simulator.window_coincidences
-
-        def emit(*args, start, **kwargs):
-            stream = real_emit(*args, start=start, **kwargs)
-            made[int(stream.keys[-1])] = len(stream.keys)  # a slice, by its last key
-            if round(start) % 2:  # late, so the next slice first rewrites the buffer
-                time.sleep(0.05)  # that the carry into this one was cut from
-            return stream
-
-        def window(stream, tphc):
-            counted.append((int(stream.keys[-1]), len(stream.keys)))
-            return real_window(stream, tphc)
-
-        monkeypatch.setattr(simulator, "emit_event_stream", emit)
-        monkeypatch.setattr(simulator, "window_coincidences", window)
-        got = simulate_setting(cfg, 0.3, 0.1, 4.5, seed)
-        assert got == window_coincidences(emit_event_stream(cfg, 0.3, 0.1, 4.5, seed), cfg.tphc)
-        # The pool counts in no fixed order. Each slice is counted alone once.
-        # A non-empty carry into the next slice, which ends on the slice's last
-        # key, is counted alone once and once merged with the next slice.
-        assert sorted(call for call in counted if made[call[0]] == call[1]) == sorted(made.items())
-        order = sorted(made)
-        carries = {order[order.index(last) + 1]: n for last, n in counted if n < made[last]}
-        merged = {last: n - made[last] for last, n in counted if n > made[last]}
-        assert len(counted) == len(made) + 2 * len(carries)
-        assert carries == merged and carries, carries
-
     def test_carry_is_copied_out_of_the_reused_buffer(self, monkeypatch):
-        # Each job runs inside submit(), so the job two places on rewrites a
-        # slice's key buffer before the carry cut from that slice is merged
-        # into the next one. A carry left as a view of the buffer reads the
-        # rewritten keys.
+        # Each job runs inside submit(), so job j + 2 is made into the key
+        # buffer of job j as soon as the join of a setting takes job j + 1,
+        # before the setting is counted. Keys joined as views of the buffer
+        # would read the rewritten ones.
         class Inline:
             def __init__(self, *args, **kwargs):
                 pass
@@ -863,26 +830,49 @@ class TestStreamingSlices:
                 return done
 
         cfg = clean_config(pair_rate=2e4, dark_start=2e4, dark_stop=2e4, jitter_stop=1e-5)
-        carried, real_window = [], simulator.window_coincidences
+        made, counted = [], []
+        real_emit, real_window = simulator.emit_event_stream, simulator.window_coincidences
+
+        def emit(*args, **kwargs):
+            stream = real_emit(*args, **kwargs)
+            made.append((stream.keys, stream.keys.copy()))
+            return stream
 
         def window(stream, tphc):
-            carried.append(stream.keys.copy())
+            counted.append(stream.keys.copy())
             return real_window(stream, tphc)
 
         monkeypatch.setattr(simulator, "ThreadPoolExecutor", Inline)
+        monkeypatch.setattr(simulator, "emit_event_stream", emit)
         monkeypatch.setattr(simulator, "window_coincidences", window)
-        got = simulate_setting(cfg, 0.3, 0.1, 4.5, 3)
-        record = emit_event_stream(cfg, 0.3, 0.1, 4.5, 3)
-        assert got == window_coincidences(record, cfg.tphc)
-        # Calls: slices 0, 1 and 2 alone, then slice 1 merged with the carry
-        # out of slice 0, which has no carry in, then that carry alone. At
-        # this seed slice 2 has more keys than slice 0, so it rewrites the
-        # end of the buffer that the carry was cut from.
-        first, second, third, merged, carry = carried[:5]
-        assert len(third) > len(first)
-        assert len(carry) and len(merged) == len(second) + len(carry)
-        np.testing.assert_array_equal(carry, first[len(first) - len(carry):])
-        np.testing.assert_array_equal(np.sort(np.concatenate([second, carry])), merged)
+        settings_ = [(0.3, 0.1, 3), (0.3, 0.1, 4)]
+        got = simulate_settings(cfg, settings_, 2.0)
+        # Job 2, the first slice of the second setting, rewrote the buffer of
+        # job 0 before the first setting was counted.
+        (first, kept), _, (third, _), _ = made
+        assert np.shares_memory(first, third) and not np.array_equal(first, kept)
+        assert len(counted) == len(settings_)
+        for (d1, d2, seed), summary, keys in zip(settings_, got, counted):
+            count = real_emit(cfg, d1, d2, 2.0, seed, count_only=True)
+            np.testing.assert_array_equal(keys, count.keys)
+            assert summary == window_coincidences(count, cfg.tphc) == \
+                window_coincidences(real_emit(cfg, d1, d2, 2.0, seed), cfg.tphc)
+
+    def test_each_setting_is_counted_once(self, monkeypatch):
+        # A 10 us stop jitter puts events of a slice on both sides of its edges.
+        cfg = clean_config(pair_rate=2e4, dark_start=2e4, dark_stop=2e4, jitter_stop=1e-5)
+        counted, real_window = [], simulator.window_coincidences
+
+        def window(stream, tphc):
+            counted.append(stream.duration)
+            return real_window(stream, tphc)
+
+        monkeypatch.setattr(simulator, "window_coincidences", window)
+        settings_ = [(0.0, 0.0, 1), (0.3, 0.1, 2), (0.4, 0.0, 3)]
+        got = simulate_settings(cfg, settings_, 2.5)
+        assert counted == [2.5] * len(settings_)
+        assert got == [window_coincidences(emit_event_stream(cfg, d1, d2, 2.5, seed), cfg.tphc)
+                       for d1, d2, seed in settings_]
 
     @pytest.mark.parametrize("start_jitter, stop_jitter", [(0.0, 2e-6), (2e-6, 0.0)])
     def test_a_count_keeps_every_start_a_neighbouring_slice_reaches(self, start_jitter,
@@ -932,21 +922,6 @@ class TestStreamingSlices:
         got = simulate_settings(clean_config(), [(0.0, 0.0, 1), (0.0, 0.0, 2)], 2.0)
         assert [summary.coincidences[(1, 1)] for summary in got] == [1, 1]
 
-    def test_event_before_the_margin_raises(self, monkeypatch):
-        real_emit = simulator.emit_event_stream
-        for port in ("start_plus", "stop_minus"):  # one floor for both sides
-
-            def early_emit(config, d1, d2, duration, seed, *, start=0.0, **kwargs):
-                stream = real_emit(config, d1, d2, duration, seed, start=start)
-                if start == 1.0:  # one event 1 us before the slice opens
-                    early = np.concatenate([[SLICE_PS - 10**6], getattr(stream, port)])
-                    setattr(stream, port, early)
-                return stream
-
-            monkeypatch.setattr(simulator, "emit_event_stream", early_emit)
-            with pytest.raises(RuntimeError, match=f"slice 1 emitted a {port} event"):
-                simulate_setting(clean_config(pair_rate=1e4), 0.0, 0.0, 2.0, 1)
-
     def test_run_ending_past_the_packing_limit_rejected(self, monkeypatch):
         class Emitted(Exception):
             pass
@@ -985,6 +960,19 @@ class TestStreamingSlices:
         tracemalloc.start()
         try:
             simulate_setting(cfg, 0.0, 0.0, 4.0, cfg.seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.75 * slice_bytes, peak / slice_bytes
+
+    def test_a_multi_slice_count_is_joined_from_its_kept_keys(self):
+        # An 8 s count of the dark run keeps about 2 k keys. Its join was
+        # sized for every start of the span: 32 MB, a 45 MB peak.
+        cfg = clean_config(pair_rate=0.0, dark_start=250e3, dark_stop=380e3, seed=101)
+        slice_bytes = 8 * 2 * (250e3 + 380e3)
+        tracemalloc.start()
+        try:
+            emit_event_stream(cfg, 0.0, 0.0, 8.0, cfg.seed, count_only=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
