@@ -352,7 +352,7 @@ def chsh_experiment(config: ExperimentConfig, settings: ChshSettings,
         correlation_sigmas=sigmas,
         s=s,
         s_sigma=s_sigma,
-        significance=(s - 2.0) / s_sigma if s_sigma > 0 else math.inf,
+        significance=(s - 2.0) / s_sigma,
         single_port_correlations=singles,
         single_port_s=settings.combine(singles),
         sampler=law,

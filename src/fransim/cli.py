@@ -185,9 +185,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # ValueError includes ConfigError and UndefinedCorrelationError; OSError
+    # is an output that cannot be written.
     try:
         return args.func(args)
-    except (ValueError, analysis.FitError) as exc:  # incl. ConfigError, UndefinedCorrelationError
+    except (ValueError, OSError, analysis.FitError) as exc:
         print(f"fransim: error: {exc}", file=sys.stderr)
         return 2
 

@@ -66,15 +66,15 @@ def generate_dark_counts(rate: float, duration: float, rng: np.random.Generator,
     """Homogeneous Poisson process: int64 ps times, uniform on the 1 ps grid of
     [t0_ps, t0_ps + duration), in draw order.
 
-    With ``reach``, the block of a stop port in one slice, only the counts a
-    start can reach, block (a) of the port (a Poisson process on disjoint
-    regions is one independent process per region):
+    With ``reach``, block (a) of a stop port: only the counts a start can
+    reach (a Poisson process on disjoint regions is one independent process
+    per region):
 
     - in U, the windows of ``reach.starts``: Poisson(rate · N · W) candidates,
       W = 2R + 1 grid points, each at a uniform offset from a uniform window
-      (:meth:`StartReach.candidates`); one is kept if no earlier window
-      covers it and it lies in the interior, so each point of U is drawn by
-      its first window alone;
+      of :attr:`StartReach.near`; one is kept if it lies in the interior and
+      the window before its own does not cover it, so each point of U is
+      drawn by its first window alone;
     - in E, the edge bands, drawn whole.
 
     The counts outside U ∪ E are left to :func:`_slice_keys`.
@@ -84,9 +84,11 @@ def generate_dark_counts(rate: float, duration: float, rng: np.random.Generator,
     if reach is None:
         n = rng.poisson(rate * duration)
         return rng.integers(t0_ps, t0_ps + max(1, round(duration / PS)), n)
-    mu, lo, hi = rate * PS, reach.lo, reach.hi
-    x, _, first = reach.candidates(
-        rng.poisson(mu * len(reach.near) * (2 * reach.half + 1)), rng)
+    mu, near, half, lo, hi = rate * PS, reach.near, reach.half, reach.lo, reach.hi
+    n = rng.poisson(mu * len(near) * (2 * half + 1))
+    pick = rng.integers(0, len(near), n)
+    x = (near[pick] >> 2) + rng.integers(-half, half + 1, n)
+    first = (x >= lo) & (x < hi) & ~((pick > 0) & (near[pick - 1] >> 2 >= x - half))
     front, edge = lo - reach.t0, lo - reach.t0 + reach.end - hi
     at = rng.integers(0, edge, rng.poisson(mu * edge))
     return np.concatenate([x[first], np.where(at < front, reach.t0 + at, hi - front + at)])
@@ -98,8 +100,8 @@ class StartReach:
     slice [t0, end) (see :func:`generate_dark_counts`).
 
     U is the windows [s - half, s + half] of the start times s of
-    ``starts``, the sorted keys of the start blocks drawn before the stop
-    block (see :func:`fransim.events.pack_keys`). E is the two edge bands,
+    ``starts``, the sorted keys of every start block the slice draws (see
+    :func:`fransim.events.pack_keys`). E is the two edge bands,
     [t0, lo) and [hi, end), which the starts of the neighbouring slices can
     reach; between them lies the interior, I.
     """
@@ -141,23 +143,11 @@ class StartReach:
         first, last = s[0] >> 2, s[-1] >> 2
         return union - max(0, self.lo - first + half) - max(0, last + half + 1 - self.hi)
 
-    def candidates(self, n: int, rng: np.random.Generator):
-        """``n`` uniform points of the windows of :attr:`near`: their times,
-        their windows' positions in it, and whether each lies in the
-        interior and no earlier window covers it."""
-        near, half = self.near, self.half
-        pick = rng.integers(0, len(near), n)
-        x = (near[pick] >> 2) + rng.integers(-half, half + 1, n)
-        first = (x >= self.lo) & (x < self.hi) & ~((pick > 0) & (near[pick - 1] >> 2 >= x - half))
-        return x, pick, first
 
-
-def _reached(x: np.ndarray, keys: np.ndarray, j: np.ndarray, half: int,
-             mask: int) -> np.ndarray:
-    """Whether a key k of the sorted ``keys`` with ``k & mask == 0`` (a start
-    key with mask 1, a start + key with mask 3) lies within ``half`` of each
-    of the (few) times ``x``, where ``keys[j]`` is the first key at or past
-    ``x - half``: the keys from ``j`` on, one round a key."""
+def _reached(x: np.ndarray, keys: np.ndarray, j: np.ndarray, half: int) -> np.ndarray:
+    """Whether a start key of the sorted ``keys`` lies within ``half`` of
+    each of the (few) times ``x``, where ``keys[j]`` is the first key at or
+    past ``x - half``: the keys from ``j`` on, one round a key."""
     found = np.zeros(len(x), bool)
     todo, j = np.arange(len(x)), np.array(j)
     while len(todo):
@@ -165,41 +155,25 @@ def _reached(x: np.ndarray, keys: np.ndarray, j: np.ndarray, half: int,
         key = keys[j[todo]]
         near = key >> 2 <= x[todo] + half
         todo, key = todo[near], key[near]
-        hit = key & mask == 0
+        hit = key & 1 == 0
         found[todo[hit]] = True
         todo = todo[~hit]
         j[todo] += 1
     return found
 
 
-def _beyond_plus(n: int, reach: StartReach, area: int, rng: np.random.Generator) -> np.ndarray:
-    """``n`` times uniform on the ``area`` grid points of the interior that
-    the windows of the start - keys of ``reach`` cover and those of its start
-    + keys do not: candidates of its windows (:meth:`StartReach.candidates`),
-    each kept if it is its first window's and no start + key reaches it.
-    Each round draws as many as keep the ``need`` still missing on average,
-    at most a chunk, and takes the first ``need`` kept."""
-    kept, need = [], n
-    while need:
-        size = math.ceil(need * len(reach.near) * (2 * reach.half + 1) / area)
-        x, pick, keep = reach.candidates(min(size, _CHUNK), rng)
-        keep[keep] = ~_reached(x[keep], reach.near, pick[keep], reach.half, 3)
-        kept.append(x[keep][:need])
-        need -= len(kept[-1])
-    return np.concatenate(kept) if kept else np.empty(0, np.int64)
-
-
 def _redraw(n: int, keys: np.ndarray, reach: StartReach, free: int,
             rng: np.random.Generator) -> np.ndarray:
     """``n`` times uniform on the ``free`` grid points of the interior of
     ``reach`` outside every window of the start keys of the sorted ``keys``:
-    uniform draws on the interior, each kept if no start key reaches it,
-    drawn in rounds as in :func:`_beyond_plus`."""
+    uniform draws on the interior, each kept if no start key reaches it.
+    Each round draws as many as keep the ``n`` still missing on average, at
+    most a chunk, and takes the first of them it keeps."""
     kept, need = [], n
     while need:
         x = rng.integers(reach.lo, reach.hi,
                          min(math.ceil(need * (reach.hi - reach.lo) / free), _CHUNK))
-        x = x[~_reached(x, keys, np.searchsorted(keys, 4 * (x - reach.half)), reach.half, 1)]
+        x = x[~_reached(x, keys, np.searchsorted(keys, 4 * (x - reach.half)), reach.half)]
         kept.append(x[:need])
         need -= len(kept[-1])
     return np.concatenate(kept) if kept else np.empty(0, np.int64)
@@ -262,7 +236,8 @@ def _mend(keys: np.ndarray, drop: list, add: np.ndarray) -> int:
 
 def _slice_keys(config: ExperimentConfig, probs: np.ndarray, t0_ps: int, dur: float,
                 rng: np.random.Generator, out: np.ndarray | None = None, *,
-                monitored_only: bool = False, count_only: bool = False) -> tuple[np.ndarray, int]:
+                monitored_only: bool = False,
+                count_only: bool = False) -> tuple[np.ndarray, int, int]:
     """One time slice's events as sorted packed keys (see
     :func:`fransim.events.pack_keys`), a view of ``out`` if they fit in it,
     and the numbers of stop + and of start + events left without a position.
@@ -276,35 +251,33 @@ def _slice_keys(config: ExperimentConfig, probs: np.ndarray, t0_ps: int, dur: fl
     Times are drawn uniformly on the 1 ps grid from ``t0_ps``, and the path
     delay and the jitter are rounded to whole ps.
 
-    The stop dark counts are drawn in four blocks a port: (a) those in the
-    windows of the starts drawn before them and in the edge bands (see
-    :func:`generate_dark_counts`), (b) the number of the rest, (c) the share
-    of (b) in windows drawn later, and (d) the positions of the rest. The
-    edge bands are the half-width, the path delay and 12 start jitter sigmas
-    (+1 ps) wide, past which no start of another slice reaches. Let U+ and
-    U- be the windows of the + and - starts and I the interior. Everything
-    is drawn from ``rng`` alone, in this order:
+    The stop dark counts are drawn in three blocks a port: (a) those in U ∪
+    E (see :func:`generate_dark_counts`), where U is the windows of every
+    start the slice draws and E the edge bands, the half-width, the path
+    delay and 12 start jitter sigmas (+1 ps) wide, past which no start of
+    another slice reaches; (b) the number of the rest, Poisson on the
+    interior I less U; and (d) their positions. Everything is drawn from
+    ``rng`` alone, in this order:
 
-    1. start +, the stop + photons, (a+) in U+, and the number (b+), Poisson
-       on I - U+. A count of the + ports alone (``monitored_only``) stops
-       here, with (b+) as its unplaced stop + events.
-    2. start -, the stop - photons, (c+), Binomial((b+), |I ∩ U- - U+| /
-       |I - U+|) with positions uniform on I ∩ U- - U+ (see
-       :func:`_beyond_plus`), and (a-) in U+ ∪ U-. A count of all four ports
-       (``count_only``) stops here, with (b+) - (c+) unplaced; it draws no
-       number of the stop - dark counts outside U+ ∪ U-, which no count reads.
-    3. for a record, (d+), the other (b+) - (c+) stop + positions, uniform on
-       I, then (d-), a Poisson process on I.
+    1. start +, then, unless ``monitored_only``, start -; the start keys are
+       sorted into one run, so |I ∩ U| comes from one pass over their gaps;
+    2. the stop + photons, (a+) and the number (b+);
+    3. unless ``monitored_only``, the stop - photons and (a-).
 
-    The start + block is sorted as soon as it is packed; the start - block is
-    packed after it and the two are sorted together, so |I ∩ U+ ∪ U-| comes
-    from one pass over their gaps. A count then keeps only the start keys
-    that can pair (:func:`_pairable`): those within the half-width of a
-    stop it placed, and those within ``keep`` of a slice edge, the
-    half-width, the path delay and 12 stop jitter sigmas (+1 ps), as far as
-    the stop photons of a neighbouring slice reach (its stop dark counts
-    stay in it). The start + keys it leaves out are a number, and the kept
-    keys, merged with the stops, are written at the front of the buffer.
+    A count (``count_only``) stops here, with (b+) as its unplaced stop +
+    events; it draws no number of the stop - dark counts outside U ∪ E,
+    which no count reads. A record goes on to (d+), the (b+) stop +
+    positions, uniform on I, then, unless ``monitored_only``, (d-), a
+    Poisson process on I. So a count's draws are the first draws of the
+    record of its ports.
+
+    A count then keeps only the start keys that can pair (:func:`_pairable`):
+    those within the half-width of a stop it placed, and those within
+    ``keep`` of a slice edge, the half-width, the path delay and 12 stop
+    jitter sigmas (+1 ps), as far as the stop photons of a neighbouring
+    slice reach (its stop dark counts stay in it). The start + keys it
+    leaves out are a number, and the kept keys, merged with the stops, are
+    written at the front of the buffer.
     A record finds the (d) draws that a start reaches after its sort, by
     :func:`fransim.events.pair_positions`: the paired stop keys less the
     keys drawn in the windows and bands (equal keys are alike). A (d-) one
@@ -355,36 +328,30 @@ def _slice_keys(config: ExperimentConfig, probs: np.ndarray, t0_ps: int, dur: fl
         one_time[:rng.binomial(len(one_time), 0.5)] += delay
         return apply_jitter(np.concatenate([both_time, one_time]), det, rng)
 
-    def put_starts(channel):  # the sorted start keys give the windows
+    def put_port(channel, reach=None):
+        det = (start_det, stop_det)[channel & 1]
         put(photons(channel), channel)
-        put(generate_dark_counts(start_det.dark_rate, dur, rng, t0_ps), channel)
-        keys[:end].sort()  # a start - block is sorted with the start + run
-        return StartReach(keys[:end], half, t0_ps, end_ps, lo, hi)
+        put(generate_dark_counts(det.dark_rate, dur, rng, t0_ps, reach), channel)
 
-    mu = stop_det.dark_rate * PS
-    plus = put_starts(CH_START_PLUS)
-    stop_plus = np.concatenate([photons(CH_STOP_PLUS),
-                                generate_dark_counts(stop_det.dark_rate, dur, rng, t0_ps, plus)])
-    outside = hi - lo - plus.covered()  # |I - U+|
-    unplaced = rng.poisson(mu * outside)  # (b+)
+    put_port(CH_START_PLUS)
+    plus_starts = end
     if not monitored_only:
-        both = put_starts(CH_START_MINUS)
+        put_port(CH_START_MINUS)
+    keys[:end].sort()
     starts = end
-    put(stop_plus, CH_STOP_PLUS)
+    reach = StartReach(keys[:end], half, t0_ps, end_ps, lo, hi)
+    put_port(CH_STOP_PLUS, reach)
+    mu, free = stop_det.dark_rate * PS, hi - lo - reach.covered()  # free = |I - U|
+    unplaced = rng.poisson(mu * free)  # (b+)
     if not monitored_only:
-        put(photons(CH_STOP_MINUS), CH_STOP_MINUS)
-        covered = both.covered()  # |I ∩ U+ ∪ U-|
-        area = covered - (hi - lo - outside)  # |I ∩ U- - U+|
-        placed = rng.binomial(unplaced, area / outside if outside else 0.0)  # (c+)
-        put(_beyond_plus(placed, both, area, rng), CH_STOP_PLUS)
-        unplaced -= placed
-        put(generate_dark_counts(stop_det.dark_rate, dur, rng, t0_ps, both), CH_STOP_MINUS)
+        put_port(CH_STOP_MINUS, reach)
     if count_only:
         kept = _pairable(keys, starts, end, half, t0_ps + keep, end_ps - keep)
         plus_kept = int(np.count_nonzero(keys[:kept] & 3 == CH_START_PLUS))
-        return keys[:kept], unplaced, len(plus.starts) - plus_kept
+        return keys[:kept], unplaced, plus_starts - plus_kept
     drawn = end
-    for channel, n in ((CH_STOP_PLUS, unplaced), (CH_STOP_MINUS, rng.poisson(mu * (hi - lo)))):
+    outside = [unplaced] if monitored_only else [unplaced, rng.poisson(mu * (hi - lo))]
+    for channel, n in zip((CH_STOP_PLUS, CH_STOP_MINUS), outside):
         for at in range(0, n, _CHUNK):  # (d+), then (d-), a chunk at a time
             put(rng.integers(lo, hi, min(_CHUNK, n - at)), channel)
     keys = keys[:end]
@@ -401,7 +368,7 @@ def _slice_keys(config: ExperimentConfig, probs: np.ndarray, t0_ps: int, dur: fl
     drop = stops[rank >= np.searchsorted(inner, values, "right")
                  - np.searchsorted(inner, values)].tolist()
     moved = np.count_nonzero(keys[drop] & 3 == CH_STOP_PLUS)
-    redrawn = _redraw(moved, keys, both, hi - lo - covered, rng.spawn(1)[0]) * 4 + CH_STOP_PLUS
+    redrawn = _redraw(moved, keys, reach, free, rng.spawn(1)[0]) * 4 + CH_STOP_PLUS
     return keys[:_mend(keys, drop, np.sort(redrawn))], 0, 0
 
 
@@ -495,11 +462,10 @@ def emit_event_stream(config: ExperimentConfig, d1: float, d2: float, duration: 
     ``unplaced_start_plus``; the stop - ones are not drawn and the start -
     ones are dropped. Its keys are record keys, and every count of
     :func:`fransim.events.window_coincidences` equals the record's. With
-    ``monitored_only`` as well, only the + ports are made: each slice stops
-    after its start + and stop + blocks, the first of the stream, so every +
-    count equals the + part of the full count. The + ports alone are not a
-    record, and ``monitored_only`` without ``count_only`` raises
-    ``ValueError``.
+    ``monitored_only`` only the + ports are made, as a record or as a count:
+    each slice draws its start + and stop + blocks alone. So a count of the
+    + ports equals the record of the + ports, not the + part of the full
+    count of the same seed.
     """
     first, rest = divmod(start, SLICE_SECONDS)
     if not start >= 0 or rest:
@@ -512,8 +478,6 @@ def emit_event_stream(config: ExperimentConfig, d1: float, d2: float, duration: 
                          f"got {len(durations)} of {out.dtype}")
     if law not in PAIR_LAWS:
         raise ValueError(f"unknown pair law {law!r}, expected one of {sorted(PAIR_LAWS)}")
-    if monitored_only and not count_only:
-        raise ValueError("the + ports alone are made for counting (count_only), not as a record")
     # V' = V·exp(-(σ1² + σ2²)/2) is V averaged over each pair's white phase noise.
     vis = config.visibility * math.exp(-(config.analyzer1.phase_noise_sigma ** 2
                                          + config.analyzer2.phase_noise_sigma ** 2) / 2)
@@ -527,7 +491,7 @@ def emit_event_stream(config: ExperimentConfig, d1: float, d2: float, duration: 
 
     if len(durations) == 1:
         return EventStream(duration, *make(0, out))
-    size = 0 if count_only else _buffer_size(config, duration, False, False)
+    size = 0 if count_only else _buffer_size(config, duration, monitored_only, False)
     with closing(_in_order(make, len(durations))) as parts:
         return _join(parts, duration, size)
 
@@ -555,8 +519,8 @@ def simulate_settings(config: ExperimentConfig, settings: Sequence[tuple[float, 
     and counts them once with :func:`fransim.events.window_coincidences`, so
     the counts and singles equal those of the setting's whole-run record.
     With ``monitored_only`` only the + ports are made and counted (see
-    :func:`emit_event_stream`); pairings with a - port read 0, and the other
-    counts are those of the full count of the same settings.
+    :func:`emit_event_stream`): pairings with a - port read 0, and the
+    others equal those of the setting's whole-run record of the + ports.
     """
     durations = _slice_durations(0, duration)
     validate_config(config)

@@ -171,6 +171,15 @@ class TestCli:
         assert rc != 0
         assert "unknown key" in capsys.readouterr().err
 
+    def test_an_output_that_cannot_be_written_reports_on_stderr(self, tmp_path, capsys):
+        # --out under a regular file: the directory cannot be made.
+        (tmp_path / "file").write_text("")
+        rc = main(["simulate", "--dwell", "0.01", "--out", str(tmp_path / "file" / "x.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("fransim: error: ") and str(tmp_path / "file") in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("key", ["detector_stop.jitter_fwhm", "detector_start.dark_rate",
                                      "analyzer1.phase_noise_sigma", "wavelength1"])
     def test_non_finite_value_is_rejected(self, key, tmp_path, capsys):
@@ -275,7 +284,7 @@ class TestCli:
         out = tmp_path / "sim.csv"
         assert main(["simulate", "--dwell", "7.5", "--seed", "3", "--out", str(out)]) == 0
         assert out.read_text().splitlines()[1] == \
-            "7.5,1875871,1354124,917,152,147,928,118.54089062685334"
+            "7.5,1875871,1354017,964,136,143,925,118.53152377766"
 
     def test_fringe_less_reproduction_prints_its_verdict(self, capsys):
         # A 0.1 us dwell sees no coincidence, so the fit is flat with no

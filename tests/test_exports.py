@@ -38,8 +38,10 @@ def _unused_imports(path):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
-@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(
-    os.path.dirname(fransim.__file__), "*.py"))), ids=os.path.basename)
+SOURCES = sorted(glob.glob(os.path.join(os.path.dirname(fransim.__file__), "*.py")))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=os.path.basename)
 def test_no_unused_imports(path):
     # No linter runs with the tests, so an import that a deletion leaves behind shows here.
     assert _unused_imports(path) == []
@@ -53,3 +55,43 @@ def test_runtime_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_every_private_name_is_used():
+    # A deletion can leave behind a private helper, constant or class that
+    # nothing reads any more, or a private function's parameter that its
+    # body no longer reads.
+    trees = {}
+    for path in SOURCES:
+        with open(path) as fh:
+            trees[os.path.basename(path)] = ast.parse(fh.read())
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    unread, unused_params = [], []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unread += [f"{module}:{name}" for name in names if _private(name) and name not in read]
+            if isinstance(node, ast.FunctionDef) and _private(node.name):
+                body = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+                params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                unused_params += [f"{module}:{node.name}({arg.arg})" for arg in params
+                                  if arg.arg not in body]
+    assert (unread, unused_params) == ([], [])

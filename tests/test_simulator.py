@@ -300,8 +300,7 @@ class TestEventStream:
 
     def test_a_counting_stream_is_not_a_record(self, tmp_path):
         # A count keeps the + events that pair with no event as numbers: the
-        # singles, not a record. The + ports alone are only ever made for
-        # counting.
+        # singles, not a record.
         cfg = reproduction_config()
         record = emit_event_stream(cfg, 0.3, 0.0, 1.0, 4)
         count = emit_event_stream(cfg, 0.3, 0.0, 1.0, 4, count_only=True)
@@ -313,8 +312,7 @@ class TestEventStream:
         assert window_coincidences(count, cfg.tphc) == window_coincidences(record, cfg.tphc)
         starts_only = replace(count, unplaced_stop_plus=0)
         for write in (count.to_records, lambda: count.write(tmp_path / "x.frsn"),
-                      starts_only.to_records, lambda: starts_only.write(tmp_path / "y.frsn"),
-                      lambda: emit_event_stream(cfg, 0.3, 0.0, 1.0, 4, monitored_only=True)):
+                      starts_only.to_records, lambda: starts_only.write(tmp_path / "y.frsn")):
             with pytest.raises(ValueError, match="made for counting"):
                 write()
 
@@ -548,8 +546,8 @@ def test_reading_holds_the_keys_and_a_few_chunks(tmp_path):
 
 
 class TestMonitoredOnly:
-    """A fringe scan makes and counts the + ports alone; these check that this
-    count and the full count are parts of the record, and that it leaves the
+    """A fringe scan makes and counts the + ports alone; these check that
+    each count is a part of the record of its ports, and that it leaves the
     counts it reads alone."""
 
     @staticmethod
@@ -569,28 +567,23 @@ class TestMonitoredOnly:
     def test_the_counts_are_parts_of_the_record(
             self, dark_only, lossy, jitter, duration, law, d1, seed):
         cfg = self._config(dark_only, lossy, jitter)
-        record = emit_event_stream(cfg, d1, 0.2, duration, seed, law=law)
-        full = emit_event_stream(cfg, d1, 0.2, duration, seed, law=law, count_only=True)
-        plus = emit_event_stream(cfg, d1, 0.2, duration, seed, law=law, monitored_only=True,
-                                 count_only=True)
-        # Each count holds record keys and counts the + ones it leaves out.
-        for count in (full, plus):
+        for monitored in (False, True):
+            record = emit_event_stream(cfg, d1, 0.2, duration, seed, law=law,
+                                       monitored_only=monitored)
+            count = emit_event_stream(cfg, d1, 0.2, duration, seed, law=law,
+                                      monitored_only=monitored, count_only=True)
+            # The count holds record keys and counts the + ones it leaves out.
             beyond = _beyond(count.keys, record.keys)
             assert [np.count_nonzero((beyond & 3) == channel)
                     for channel in (CH_START_PLUS, CH_STOP_PLUS)] == \
                 [count.unplaced_start_plus, count.unplaced_stop_plus]
-        assert window_coincidences(full, cfg.tphc) == window_coincidences(record, cfg.tphc)
-
-        whole = simulate_settings(cfg, [(d1, 0.2, seed)], duration, law=law)[0]
-        part = simulate_settings(cfg, [(d1, 0.2, seed)], duration, law=law,
-                                 monitored_only=True)[0]
-        assert (part.singles_start, part.singles_stop, part.coincidences[(1, 1)],
-                part.accidental_estimate) == (whole.singles_start, whole.singles_stop,
-                                              whole.coincidences[(1, 1)],
-                                              whole.accidental_estimate)
-        assert [part.coincidences[key] for key in OUTCOMES[1:]] == [0, 0, 0]
-        assert part == window_coincidences(plus, cfg.tphc)
-        assert whole == window_coincidences(record, cfg.tphc)
+            summary = simulate_settings(cfg, [(d1, 0.2, seed)], duration, law=law,
+                                        monitored_only=monitored)[0]
+            assert summary == window_coincidences(count, cfg.tphc) == \
+                window_coincidences(record, cfg.tphc)
+            if monitored:
+                assert not (record.keys & 2).any()  # the + ports alone
+                assert [summary.coincidences[key] for key in OUTCOMES[1:]] == [0, 0, 0]
 
     def test_a_monitored_slice_draws_the_plus_blocks_alone(self, monkeypatch):
         cfg = clean_config(pair_rate=2e4, dark_start=1e3, dark_stop=2e3, jitter_stop=200e-12)
@@ -606,13 +599,13 @@ class TestMonitoredOnly:
 
         monkeypatch.setattr(simulator, "generate_dark_counts", dark)
         monkeypatch.setattr(simulator, "apply_jitter", jitter)
-        for monitored, rates in ((True, [1e3, 2e3]), (False, [1e3, 2e3, 1e3, 2e3])):
+        for monitored, rates in ((True, [1e3, 2e3]), (False, [1e3, 1e3, 2e3, 2e3])):
             darks.clear()
             jitters.clear()
             emit_event_stream(cfg, 0.3, 0.2, 1.0, 5, monitored_only=monitored, count_only=True)
-            assert darks == jitters == rates  # start +, stop + (, start -, stop -)
+            assert darks == jitters == rates  # start + (, start -), stop + (, stop -)
 
-    def test_scan_equals_full_settings_at_the_point_seeds(self, monkeypatch):
+    def test_scan_equals_the_plus_records_at_the_point_seeds(self, monkeypatch):
         cfg = clean_config(pair_rate=3e4, dark_start=2e3, dark_stop=3e3,
                            jitter_stop=200e-12, seed=17)
         controls = np.linspace(0.0, 2 * math.pi, 5, endpoint=False)
@@ -626,11 +619,12 @@ class TestMonitoredOnly:
         points = analysis.scan_fringe(cfg, "phase2", controls, 1.5)
         assert calls == [(len(controls), True)]
         for k, (x, point) in enumerate(zip(controls, points)):
-            full = simulate_setting(cfg, cfg.analyzer1.phase, x, 1.5,
-                                    analysis._point_seed(cfg.seed, k))
+            record = emit_event_stream(cfg, cfg.analyzer1.phase, x, 1.5,
+                                       analysis._point_seed(cfg.seed, k), monitored_only=True)
+            plus = window_coincidences(record, cfg.tphc)
             assert (point.raw_coincidences, point.accidentals) == \
-                (full.coincidences[(1, 1)], full.accidental_estimate)
-            assert point.net == full.coincidences[(1, 1)] - full.accidental_estimate
+                (plus.coincidences[(1, 1)], plus.accidental_estimate)
+            assert point.net == plus.coincidences[(1, 1)] - plus.accidental_estimate
 
     @pytest.mark.parametrize("n", [0, 1, 4, 5, 23])
     def test_singles_counted_in_chunks(self, monkeypatch, n):
@@ -727,27 +721,57 @@ class TestStopDarksInLaw:
         z = [(observed - mean) / math.sqrt(var) for observed, mean, var in rows]
         assert max(map(abs, z)) < 4, (z, [row[0] for row in rows])
 
+    @pytest.mark.parametrize("monitored", [False, True])
+    def test_a_count_places_stops_only_in_windows_and_edge_bands(self, monitored):
+        # Dark counts carry no jitter, and no detector has any here: so each
+        # stop a count places lies within the half-width of a start of a
+        # port it drew (either start port for a full count, start + for a
+        # count of the + ports), or in an edge band of its slice.
+        cfg = clean_config(pair_rate=0.0, dark_start=2e4, dark_stop=2e5, window=1e-6)
+        cfg = replace(cfg, analyzer1=replace(cfg.analyzer1, path_delay=1e-4),
+                      analyzer2=replace(cfg.analyzer2, path_delay=1e-4))
+        duration, half = 2.5, round(cfg.tphc.window_width / 2 / PS)
+        band = half + round(cfg.analyzer1.path_delay / PS) + 1
+
+        def reached(stops, starts):
+            at = np.minimum(np.searchsorted(starts, stops - half), len(starts) - 1)
+            return np.abs(starts[at] - stops) <= half
+
+        near_only_minus = in_band_only = 0
+        for seed in range(3):
+            record = emit_event_stream(cfg, 0.4, 0.0, duration, seed, monitored_only=monitored)
+            keys = emit_event_stream(cfg, 0.4, 0.0, duration, seed, monitored_only=monitored,
+                                     count_only=True).keys
+            starts, stops = record.keys[(record.keys & 1) == 0], keys[(keys & 1) == 1] >> 2
+            t0 = stops // SLICE_PS * SLICE_PS
+            end = np.minimum(t0 + SLICE_PS, round(duration / PS))
+            in_band = (stops - t0 < band) | (end - stops <= band)
+            near = reached(stops, starts >> 2)
+            assert (near | in_band).all()
+            near_plus = reached(stops, starts[(starts & 3) == CH_START_PLUS] >> 2)
+            near_only_minus += np.count_nonzero(near & ~near_plus & ~in_band)
+            in_band_only += np.count_nonzero(in_band & ~near)
+        assert in_band_only > 0
+        assert (near_only_minus > 0) != monitored
+
     def test_a_slice_shorter_than_a_window_counts_as_its_record(self):
-        # Each window is longer than the interior, so the - windows reaching
-        # it cover more grid points than it has outside the + windows: (c+)
-        # cannot be a thinning of the stop + dark counts there, and is drawn
-        # from the measured share instead.
+        # Each window is longer than the interior, so every window that
+        # reaches it also reaches an edge band.
         cfg = self._short()
         half = round(cfg.tphc.window_width / 2 / PS)
         band = half + round(cfg.analyzer1.path_delay / PS) + 1
         assert round(self.SHORT / PS) - 2 * band < 2 * half + 1
-        placed = 0
         for seed in range(40):
-            record = emit_event_stream(cfg, 0.4, 0.0, self.SHORT, seed)
-            count = emit_event_stream(cfg, 0.4, 0.0, self.SHORT, seed, count_only=True)
-            plus = emit_event_stream(cfg, 0.4, 0.0, self.SHORT, seed, monitored_only=True,
-                                     count_only=True)
-            assert simulate_setting(cfg, 0.4, 0.0, self.SHORT, seed) == \
-                window_coincidences(record, cfg.tphc) == window_coincidences(count, cfg.tphc)
-            beyond = _beyond(count.keys, record.keys)
-            assert np.count_nonzero((beyond & 3) == CH_STOP_PLUS) == count.unplaced_stop_plus
-            placed += plus.unplaced_stop_plus - count.unplaced_stop_plus  # (c+)
-        assert placed > 0
+            for monitored in (False, True):
+                record = emit_event_stream(cfg, 0.4, 0.0, self.SHORT, seed,
+                                           monitored_only=monitored)
+                count = emit_event_stream(cfg, 0.4, 0.0, self.SHORT, seed,
+                                          monitored_only=monitored, count_only=True)
+                assert simulate_settings(cfg, [(0.4, 0.0, seed)], self.SHORT,
+                                         monitored_only=monitored)[0] == \
+                    window_coincidences(record, cfg.tphc) == window_coincidences(count, cfg.tphc)
+                beyond = _beyond(count.keys, record.keys)
+                assert np.count_nonzero((beyond & 3) == CH_STOP_PLUS) == count.unplaced_stop_plus
 
 
 class TestConfigValidationPath:
