@@ -12,8 +12,7 @@ import math
 from collections import deque
 from contextlib import closing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from itertools import islice
 from typing import Sequence
 
@@ -66,44 +65,42 @@ def generate_dark_counts(rate: float, duration: float, rng: np.random.Generator,
     """Homogeneous Poisson process: int64 ps times, uniform on the 1 ps grid of
     [t0_ps, t0_ps + duration), in draw order.
 
-    With ``reach``, block (a) of a stop port: only the counts a start can
-    reach (a Poisson process on disjoint regions is one independent process
-    per region):
-
-    - in U, the windows of ``reach.starts``: Poisson(rate · N · W) candidates,
-      W = 2R + 1 grid points, each at a uniform offset from a uniform window
-      of :attr:`StartReach.near`; one is kept if it lies in the interior and
-      the window before its own does not cover it, so each point of U is
-      drawn by its first window alone;
-    - in E, the edge bands, drawn whole.
-
-    The counts outside U ∪ E are left to :func:`_slice_keys`.
+    With ``reach``, block (a) of a stop port, drawn where a start can reach
+    (a Poisson process on disjoint regions is one independent process per
+    region): first Poisson(rate · N · W) candidates in the windows of the N
+    ``reach.starts``, W = 2R + 1 grid points each, each at a uniform offset
+    from the window of a start index drawn uniformly, which is appended to
+    ``reach.picks``; then the edge bands E, whole. :func:`_slice_keys` keeps
+    a candidate if it lies in the interior and no start of a lower index
+    reaches it, so each point of U is drawn by its first window in draw
+    order alone, and the rejected ones are an independent Poisson count.
     """
     if rate < 0:
         raise ValueError(f"dark rate must be >= 0, got {rate}")
     if reach is None:
         n = rng.poisson(rate * duration)
         return rng.integers(t0_ps, t0_ps + max(1, round(duration / PS)), n)
-    mu, near, half, lo, hi = rate * PS, reach.near, reach.half, reach.lo, reach.hi
-    n = rng.poisson(mu * len(near) * (2 * half + 1))
-    pick = rng.integers(0, len(near), n)
-    x = (near[pick] >> 2) + rng.integers(-half, half + 1, n)
-    first = (x >= lo) & (x < hi) & ~((pick > 0) & (near[pick - 1] >> 2 >= x - half))
+    mu, starts, half, lo, hi = rate * PS, reach.starts, reach.half, reach.lo, reach.hi
+    windows = len(starts) * (2 * half + 1) if hi > lo else 0  # none meets an empty I
+    pick = rng.integers(0, len(starts), rng.poisson(mu * windows))
+    reach.picks.append(pick)
+    x = (starts[pick] >> 2) + rng.integers(-half, half + 1, len(pick))
     front, edge = lo - reach.t0, lo - reach.t0 + reach.end - hi
     at = rng.integers(0, edge, rng.poisson(mu * edge))
-    return np.concatenate([x[first], np.where(at < front, reach.t0 + at, hi - front + at)])
+    return np.concatenate([x, np.where(at < front, reach.t0 + at, hi - front + at)])
 
 
 @dataclass
 class StartReach:
-    """Where the starts can pair with the dark counts of one stop port in the
-    slice [t0, end) (see :func:`generate_dark_counts`).
+    """Where the starts can pair with the dark counts of the stop ports of
+    the slice [t0, end) (see :func:`generate_dark_counts`).
 
     U is the windows [s - half, s + half] of the start times s of
-    ``starts``, the sorted keys of every start block the slice draws (see
-    :func:`fransim.events.pack_keys`). E is the two edge bands,
+    ``starts``, the keys of every start block the slice draws, in draw
+    order (see :func:`fransim.events.pack_keys`). E is the two edge bands,
     [t0, lo) and [hi, end), which the starts of the neighbouring slices can
-    reach; between them lies the interior, I.
+    reach; between them lies the interior, I. ``picks`` holds the window of
+    each candidate of block (a), one array a stop port.
     """
 
     starts: np.ndarray
@@ -112,36 +109,47 @@ class StartReach:
     end: int
     lo: int
     hi: int
+    picks: list = field(default_factory=list)
 
-    @cached_property
-    def near(self) -> np.ndarray:
-        """The start keys whose windows meet the interior."""
-        s, half = self.starts, self.half
-        if self.hi <= self.lo:
-            return s[:0]
-        return s[np.searchsorted(s, 4 * (self.lo - half)):np.searchsorted(s, 4 * (self.hi + half))]
 
-    def covered(self) -> int:
-        """|U ∩ I|: grid points of the interior within ``half`` of a start.
+def _near(reach: StartReach, points: np.ndarray, keep: int) -> np.ndarray:
+    """The positions in ``reach.starts``, in time order, of every start
+    within ``reach.half`` of one of the times ``points``, before max(t0 +
+    keep, lo + half) or from min(end - keep, hi - half) on, and of a few
+    more: one pass over the unsorted keys, through a table of bins of 2**k
+    ps, each longer than a window and about 2**16 of them (so the table
+    stays in cache). It marks the one or two bins that the window of each
+    point meets and the bins of the two edge ranges; a start is taken if
+    the bin of its time, clipped to the table, is marked.
+    """
+    half, t0, starts = reach.half, reach.t0, reach.starts
+    k = max((2 * half + 1).bit_length(), ((reach.end - t0) >> 16).bit_length())
+    last = ((reach.end - 1) >> k) - (t0 >> k)
+    table = np.zeros(last + 1, bool)
+    table[np.clip((np.r_[points - half, points + half] >> k) - (t0 >> k), 0, last)] = True
+    table[:((max(t0 + keep, reach.lo + half) - 1) >> k) - (t0 >> k) + 1] = True
+    table[max(0, (min(reach.end - keep, reach.hi - half) >> k) - (t0 >> k)):] = True
+    at = np.concatenate([np.empty(0, np.int64)] + [  # a chunk at a time: small temporaries
+        c + np.flatnonzero(table.take((starts[c:c + _CHUNK] >> (k + 2)) - (t0 >> k), mode="clip"))
+        for c in range(0, len(starts), _CHUNK)])
+    return at[np.argsort(starts[at])]
 
-        N windows of W = 2 half + 1 points cover N·W of them less
-        max(0, W - gap) for each gap between consecutive start times. A key
-        gap is 4 gap + the channel difference (at most 2), so only the few
-        key gaps under 4 W, a chunk at a time, are read as times. The first
-        window covers all of U below lo, and the last all of U from hi on.
-        """
-        s, half = self.near, self.half
-        if not len(s):
-            return 0
-        width = 2 * half + 1
-        union = len(s) * width
-        for at in range(0, len(s) - 1, _CHUNK):
-            run = s[at:at + _CHUNK + 1]
-            close = np.flatnonzero(np.diff(run) < 4 * width)
-            gaps = (run[close + 1] >> 2) - (run[close] >> 2)
-            union -= int(np.maximum(width - gaps, 0).sum())
-        first, last = s[0] >> 2, s[-1] >> 2
-        return union - max(0, self.lo - first + half) - max(0, last + half + 1 - self.hi)
+
+def _reaches(times: np.ndarray, points: np.ndarray, half: int) -> np.ndarray:
+    """Whether each of ``points`` lies within ``half`` of one of the sorted
+    ``times``: whether the first of them from ``point - half`` on is."""
+    times = np.append(times, np.iinfo(np.int64).max)
+    return times[np.searchsorted(times, points - half)] <= points + half
+
+
+def _within(times: np.ndarray, points: np.ndarray, half: int):
+    """``(i, j)`` for each point ``points[i]`` and time ``times[j]`` of the
+    sorted ``times`` within ``half`` of each other. The points are searched
+    in time order, which a search of many of them runs several times faster."""
+    order = np.argsort(points)
+    a = np.searchsorted(times, points[order] - half)
+    n = np.searchsorted(times, points[order] + half, "right") - a
+    return np.repeat(order, n), np.arange(n.sum()) + np.repeat(a - np.cumsum(n) + n, n)
 
 
 def _reached(x: np.ndarray, keys: np.ndarray, j: np.ndarray, half: int) -> np.ndarray:
@@ -164,11 +172,12 @@ def _reached(x: np.ndarray, keys: np.ndarray, j: np.ndarray, half: int) -> np.nd
 
 def _redraw(n: int, keys: np.ndarray, reach: StartReach, free: int,
             rng: np.random.Generator) -> np.ndarray:
-    """``n`` times uniform on the ``free`` grid points of the interior of
-    ``reach`` outside every window of the start keys of the sorted ``keys``:
-    uniform draws on the interior, each kept if no start key reaches it.
-    Each round draws as many as keep the ``n`` still missing on average, at
-    most a chunk, and takes the first of them it keeps."""
+    """``n`` times uniform on the grid points of the interior of ``reach``
+    outside every window of the start keys of the sorted ``keys``, at least
+    ``free`` of them: uniform draws on the interior, each kept if no start
+    key reaches it. Each round draws as many as keep the ``n`` still missing
+    on average if ``free`` were their number, at most a chunk, and takes the
+    first of them it keeps."""
     kept, need = [], n
     while need:
         x = rng.integers(reach.lo, reach.hi,
@@ -177,29 +186,6 @@ def _redraw(n: int, keys: np.ndarray, reach: StartReach, free: int,
         kept.append(x[:need])
         need -= len(kept[-1])
     return np.concatenate(kept) if kept else np.empty(0, np.int64)
-
-
-def _pairable(keys: np.ndarray, starts: int, end: int, half: int, front: int,
-              back: int) -> int:
-    """Write, at the front of ``keys``, the stop keys ``keys[starts:end]``
-    (in any order) merged with those of the sorted start keys
-    ``keys[:starts]`` that can pair, and return their number: the starts
-    within ``half`` of one of those stops, and those at a time before
-    ``front`` or at or past ``back``. Each stop's run of starts is clipped
-    to the edge bands and to the end of the run before it, so each start
-    is taken once."""
-    stops = np.sort(keys[starts:end])
-    s, x = keys[:starts], stops >> 2
-    f = np.searchsorted(s, 4 * front)
-    b = max(f, np.searchsorted(s, 4 * back))
-    hi = np.clip(np.searchsorted(s, 4 * (x + half + 1)), f, b)
-    lo = np.maximum(np.clip(np.searchsorted(s, 4 * (x - half)), f, b), np.r_[f, hi[:-1]])
-    n = np.maximum(hi - lo, 0)
-    runs = np.arange(n.sum()) + np.repeat(lo - np.cumsum(n) + n, n)
-    kept = np.concatenate([s[:f], s[runs], s[b:], stops])
-    kept.sort()
-    keys[:len(kept)] = kept
-    return len(kept)
 
 
 def _buffer_size(config: ExperimentConfig, dur: float, monitored_only: bool,
@@ -259,33 +245,39 @@ def _slice_keys(config: ExperimentConfig, probs: np.ndarray, t0_ps: int, dur: fl
     interior I less U; and (d) their positions. Everything is drawn from
     ``rng`` alone, in this order:
 
-    1. start +, then, unless ``monitored_only``, start -; the start keys are
-       sorted into one run, so |I ∩ U| comes from one pass over their gaps;
-    2. the stop + photons, (a+) and the number (b+);
-    3. unless ``monitored_only``, the stop - photons and (a-).
+    1. start +, then, unless ``monitored_only``, start -, packed in draw
+       order and never sorted before the stops are placed;
+    2. the stop + photons and (a+), then, unless ``monitored_only``, the
+       stop - photons and (a-);
+    3. the number (b+): Poisson(mu (|I| - S)), S the sum of |w ∩ I| over
+       the start windows w, plus the rejected (a+) candidates in I, two
+       independent Poisson counts of means mu (|I| - S) and mu (S - |U ∩
+       I|); or, if S > |I|, the number of Poisson(mu |I|) uniform test
+       points on I that no window covers.
 
-    A count (``count_only``) stops here, with (b+) as its unplaced stop +
-    events; it draws no number of the stop - dark counts outside U ∪ E,
-    which no count reads. A record goes on to (d+), the (b+) stop +
-    positions, uniform on I, then, unless ``monitored_only``, (d-), a
-    Poisson process on I. So a count's draws are the first draws of the
+    Which candidates are kept, S, and which starts a count keeps come from
+    one pass over the start keys (:func:`_near`) and exact checks on the
+    few starts it finds. A count (``count_only``) stops after (b+), as its
+    unplaced stop + events; it draws no number of the stop - dark counts
+    outside U ∪ E, which no count reads. A record goes on to (d+), the (b+)
+    stop + positions, uniform on I, then, unless ``monitored_only``, (d-),
+    a Poisson process on I. So a count's draws are the first draws of the
     record of its ports.
 
-    A count then keeps only the start keys that can pair (:func:`_pairable`):
-    those within the half-width of a stop it placed, and those within
-    ``keep`` of a slice edge, the half-width, the path delay and 12 stop
-    jitter sigmas (+1 ps), as far as the stop photons of a neighbouring
-    slice reach (its stop dark counts stay in it). The start + keys it
-    leaves out are a number, and the kept keys, merged with the stops, are
-    written at the front of the buffer.
-    A record finds the (d) draws that a start reaches after its sort, by
-    :func:`fransim.events.pair_positions`: the paired stop keys less the
-    keys drawn in the windows and bands (equal keys are alike). A (d-) one
-    is dropped, a (d+) one redrawn from the first child of ``rng``
-    (:func:`_redraw`), so the redraws do not depend on how far ``rng`` has
-    been drawn. Without ``out`` the key buffer is sized from the expected
-    count of the keys the slice places plus 9 of its standard deviations; a
-    block that does not fit grows it.
+    A count keeps only the start keys that can pair: those within the
+    half-width of a stop it placed, and those within ``keep`` of a slice
+    edge, the half-width, the path delay and 12 stop jitter sigmas (+1 ps),
+    as far as the stop photons of a neighbouring slice reach (its stop dark
+    counts stay in it). The start + keys it leaves out are a number, and the
+    kept keys, sorted with the stops, are written at the front of the
+    buffer. A record sorts all its keys once and then finds the (d) draws
+    that a start reaches, by :func:`fransim.events.pair_positions`: the
+    paired stop keys less the keys drawn in the windows and bands (equal
+    keys are alike). A (d-) one is dropped, a (d+) one redrawn from the
+    first child of ``rng`` (:func:`_redraw`), so the redraws do not depend
+    on how far ``rng`` has been drawn. Without ``out`` the key buffer is
+    sized from the expected count of the keys the slice places plus 9 of
+    its standard deviations; a block that does not fit grows it.
     """
     src, start_det, stop_det = config.source, config.detector_start, config.detector_stop
     end_ps = t0_ps + max(1, round(dur / PS))  # a sub-ps last slice keeps one grid point
@@ -328,39 +320,60 @@ def _slice_keys(config: ExperimentConfig, probs: np.ndarray, t0_ps: int, dur: fl
         one_time[:rng.binomial(len(one_time), 0.5)] += delay
         return apply_jitter(np.concatenate([both_time, one_time]), det, rng)
 
-    def put_port(channel, reach=None):
-        det = (start_det, stop_det)[channel & 1]
+    def put_start(channel):
         put(photons(channel), channel)
-        put(generate_dark_counts(det.dark_rate, dur, rng, t0_ps, reach), channel)
+        put(generate_dark_counts(start_det.dark_rate, dur, rng, t0_ps), channel)
 
-    put_port(CH_START_PLUS)
+    put_start(CH_START_PLUS)
     plus_starts = end
     if not monitored_only:
-        put_port(CH_START_MINUS)
-    keys[:end].sort()
+        put_start(CH_START_MINUS)
     starts = end
     reach = StartReach(keys[:end], half, t0_ps, end_ps, lo, hi)
-    put_port(CH_STOP_PLUS, reach)
-    mu, free = stop_det.dark_rate * PS, hi - lo - reach.covered()  # free = |I - U|
-    unplaced = rng.poisson(mu * free)  # (b+)
-    if not monitored_only:
-        put_port(CH_STOP_MINUS, reach)
+    ports = (CH_STOP_PLUS,) if monitored_only else (CH_STOP_PLUS, CH_STOP_MINUS)
+    darks = []
+    for channel in ports:
+        put(photons(channel), channel)
+        darks.append(generate_dark_counts(stop_det.dark_rate, dur, rng, t0_ps, reach))
+    # A count keeps the starts near its stop photons; a record keeps all.
+    near = _near(reach, np.concatenate([keys[starts:end if count_only else starts] >> 2, *darks]),
+                 keep)
+    times = reach.starts[near] >> 2
+    for channel, dark, pick in zip(ports, darks, reach.picks):
+        x = dark[:len(pick)]
+        i, j = _within(times, x, half)
+        early = np.zeros(len(x), bool)
+        early[i[near[j] < pick[i]]] = True
+        if channel == CH_STOP_PLUS:  # the (a+) candidates in I that an earlier window covers
+            rejected = int(np.count_nonzero(early & (x >= lo) & (x < hi)))
+        put(np.delete(dark, np.flatnonzero(early | (x < lo) | (x >= hi))), channel)
+    mu, interior = stop_det.dark_rate * PS, hi - lo
+    covers = (starts - len(near)) * (2 * half + 1) + int(np.maximum(
+        np.minimum(times + half + 1, hi) - np.maximum(times - half, lo), 0).sum())  # S
+    if covers <= interior:
+        unplaced = rng.poisson(mu * (interior - covers)) + rejected  # (b+)
+    else:  # the windows outgrow I: test points on I that no window covers
+        x = rng.integers(lo, hi, rng.poisson(mu * interior))
+        unplaced = int(np.count_nonzero(~_reaches(reach.starts[_near(reach, x, keep)] >> 2, x,
+                                                  half)))
     if count_only:
-        kept = _pairable(keys, starts, end, half, t0_ps + keep, end_ps - keep)
-        plus_kept = int(np.count_nonzero(keys[:kept] & 3 == CH_START_PLUS))
-        return keys[:kept], unplaced, plus_starts - plus_kept
+        stops = np.sort(keys[starts:end])
+        held = ((times < t0_ps + keep) | (times >= end_ps - keep)
+                | _reaches(stops >> 2, times, half))
+        kept = np.sort(np.concatenate([reach.starts[near[held]], stops]), kind="stable")
+        keys[:len(kept)] = kept
+        plus_kept = int(np.count_nonzero(kept & 3 == CH_START_PLUS))
+        return keys[:len(kept)], unplaced, plus_starts - plus_kept
     drawn = end
-    outside = [unplaced] if monitored_only else [unplaced, rng.poisson(mu * (hi - lo))]
-    for channel, n in zip((CH_STOP_PLUS, CH_STOP_MINUS), outside):
+    outside = [unplaced] if monitored_only else [unplaced, rng.poisson(mu * interior)]
+    for channel, n in zip(ports, outside):
         for at in range(0, n, _CHUNK):  # (d+), then (d-), a chunk at a time
             put(rng.integers(lo, hi, min(_CHUNK, n - at)), channel)
     keys = keys[:end]
-    if end == drawn:
-        keys[starts:].sort()
-        keys.sort(kind="stable")  # a merge of the sorted start and stop runs
-        return keys, 0, 0
     inner = np.sort(keys[starts:drawn])  # the stop keys drawn in the windows and bands
     keys.sort()
+    if end == drawn:
+        return keys, 0, 0
     # The (d) draws that a start reaches: the paired stop keys less the inner ones.
     stops = np.unique(pair_positions(keys, half)[1])
     values = keys[stops]
@@ -368,6 +381,7 @@ def _slice_keys(config: ExperimentConfig, probs: np.ndarray, t0_ps: int, dur: fl
     drop = stops[rank >= np.searchsorted(inner, values, "right")
                  - np.searchsorted(inner, values)].tolist()
     moved = np.count_nonzero(keys[drop] & 3 == CH_STOP_PLUS)
+    free = max(1, interior - covers)  # |I| - S <= |I - U|
     redrawn = _redraw(moved, keys, reach, free, rng.spawn(1)[0]) * 4 + CH_STOP_PLUS
     return keys[:_mend(keys, drop, np.sort(redrawn))], 0, 0
 

@@ -9,7 +9,7 @@ from fransim.config import (
     SourceParams,
     TphcParams,
 )
-from fransim.events import PS, EventStream
+from fransim.events import PS
 
 
 def clean_config(pair_rate=1e5, visibility=0.957, window=350e-12,
@@ -37,7 +37,13 @@ def side_times(stream, side):
 
 def stops_moved(stream, offset):
     """``stream`` with every stop event moved by ``-offset`` seconds, rounded
-    to whole ps, so a window centred on 0 counts the peak at ``offset``."""
+    to whole ps, so a window centred on 0 counts the peak at ``offset``.
+
+    A stream made for counting, with unplaced events, is refused: it keeps
+    only the starts near its own stops, so its moved stops would pair
+    against starts it never kept."""
+    if stream.unplaced_stop_plus or stream.unplaced_start_plus:
+        raise ValueError("stops_moved takes a record, not a stream made for counting")
     keys = stream.keys - (stream.keys & 1) * (4 * round(offset / PS))
     keys.sort(kind="stable")
-    return EventStream(stream.duration, keys, stream.unplaced_stop_plus)
+    return replace(stream, keys=keys)

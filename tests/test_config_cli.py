@@ -284,7 +284,7 @@ class TestCli:
         out = tmp_path / "sim.csv"
         assert main(["simulate", "--dwell", "7.5", "--seed", "3", "--out", str(out)]) == 0
         assert out.read_text().splitlines()[1] == \
-            "7.5,1875871,1354017,964,136,143,925,118.53152377766"
+            "7.5,1875871,1353734,948,169,160,906,118.50674977465333"
 
     def test_fringe_less_reproduction_prints_its_verdict(self, capsys):
         # A 0.1 us dwell sees no coincidence, so the fit is flat with no

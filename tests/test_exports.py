@@ -95,3 +95,15 @@ def test_every_private_name_is_used():
                 unused_params += [f"{module}:{node.name}({arg.arg})" for arg in params
                                   if arg.arg not in body]
     assert (unread, unused_params) == ([], [])
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if os.path.basename(p) != "cli.py"],
+                         ids=os.path.basename)
+def test_library_code_does_not_print(path):
+    # Only the command line writes to the terminal; the library returns what
+    # it found, so a caller decides what is shown.
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "print"]
+    assert calls == []

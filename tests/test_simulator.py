@@ -312,7 +312,8 @@ class TestEventStream:
         assert window_coincidences(count, cfg.tphc) == window_coincidences(record, cfg.tphc)
         starts_only = replace(count, unplaced_stop_plus=0)
         for write in (count.to_records, lambda: count.write(tmp_path / "x.frsn"),
-                      starts_only.to_records, lambda: starts_only.write(tmp_path / "y.frsn")):
+                      starts_only.to_records, lambda: starts_only.write(tmp_path / "y.frsn"),
+                      lambda: stops_moved(count, 1e-9), lambda: stops_moved(starts_only, 1e-9)):
             with pytest.raises(ValueError, match="made for counting"):
                 write()
 
@@ -754,6 +755,54 @@ class TestStopDarksInLaw:
         assert in_band_only > 0
         assert (near_only_minus > 0) != monitored
 
+    # Hand-built start + blocks, in draw order, of a 14 ns slice whose
+    # interior I is [1601, 12399) ps: windows 1001 ps wide that overlap, that
+    # cross lo or hi, or that miss I. The windows' lengths in I sum to S,
+    # within |I| or past it.
+    RULE_CASES = {
+        "S-within-I": [9000, 1800, 12600, 4000, 4600, 8800, 200, 13900, 1200],
+        "S-past-I": [1200, 12600] + [3000 + 150 * i for i in
+                                     np.random.default_rng(0).permutation(40).tolist()],
+    }
+
+    @pytest.mark.parametrize("case", sorted(RULE_CASES))
+    def test_the_window_rule_matches_brute_force(self, monkeypatch, case):
+        # Over 2000 seeds, the stop + dark counts a count places in I have
+        # mean mu |U ∩ I|, the unplaced ones mean and variance mu |I - U|,
+        # and the two are uncorrelated; U comes from an exact coverage mask.
+        # Each |z| stays within 4.
+        starts, n = np.array(self.RULE_CASES[case]), 2000
+        cfg = clean_config(pair_rate=0.0, dark_stop=5e9, window=1e-9)
+        cfg = replace(cfg, analyzer1=replace(cfg.analyzer1, path_delay=1.1e-9),
+                      analyzer2=replace(cfg.analyzer2, path_delay=1.1e-9))
+        half, duration = 500, 14e-9
+        lo, hi = half + 1100 + 1, round(duration / PS) - (half + 1100 + 1)
+        covered = np.zeros(hi - lo, bool)
+        for s in starts:
+            covered[max(s - half - lo, 0):max(s + half + 1 - lo, 0)] = True
+        assert (len(starts) * (2 * half + 1) > hi - lo) == (case == "S-past-I")
+        assert ((starts - half < lo) & (starts + half >= lo)).any()
+        assert ((starts - half < hi) & (starts + half >= hi)).any()
+
+        def dark(rate, dur, rng, t0_ps=0, reach=None):  # the start + block is ``starts``
+            return starts if reach is None else generate_dark_counts(rate, dur, rng, t0_ps, reach)
+
+        monkeypatch.setattr(simulator, "generate_dark_counts", dark)
+        kept, unplaced = np.empty(n), np.empty(n)
+        for seed in range(n):
+            count = emit_event_stream(cfg, 0.0, 0.0, duration, seed, monitored_only=True,
+                                      count_only=True)
+            stops = count.keys[(count.keys & 3) == CH_STOP_PLUS] >> 2
+            kept[seed] = np.count_nonzero((stops >= lo) & (stops < hi))
+            unplaced[seed] = count.unplaced_stop_plus
+        mu = cfg.detector_stop.dark_rate * PS
+        inside, outside = mu * covered.sum(), mu * (~covered).sum()
+        z = [(kept.mean() - inside) / math.sqrt(inside / n),
+             (unplaced.mean() - outside) / math.sqrt(outside / n),
+             (unplaced.var(ddof=1) - outside) / math.sqrt((outside + 2 * outside ** 2) / n),
+             np.corrcoef(kept, unplaced)[0, 1] * math.sqrt(n)]
+        assert max(map(abs, z)) < 4, z
+
     def test_a_slice_shorter_than_a_window_counts_as_its_record(self):
         # Each window is longer than the interior, so every window that
         # reaches it also reaches an edge band.
@@ -797,6 +846,25 @@ class TestConfigValidationPath:
                                 path_delay=0.7e-9)
 
 
+class _Inline:
+    """A stand-in for the slice pool that makes each job inside ``submit()``,
+    on the calling thread, so the jobs run one after the other."""
+
+    def __init__(self, *args, **kwargs):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        done = Future()
+        done.set_result(fn(*args))
+        return done
+
+
 class TestStreamingSlices:
     """simulate_setting makes each slice for counting, joins the slices of a
     setting and counts them once; these check that cut and join."""
@@ -838,21 +906,6 @@ class TestStreamingSlices:
         # buffer of job j as soon as the join of a setting takes job j + 1,
         # before the setting is counted. Keys joined as views of the buffer
         # would read the rewritten ones.
-        class Inline:
-            def __init__(self, *args, **kwargs):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                done = Future()
-                done.set_result(fn(*args))
-                return done
-
         cfg = clean_config(pair_rate=2e4, dark_start=2e4, dark_stop=2e4, jitter_stop=1e-5)
         made, counted = [], []
         real_emit, real_window = simulator.emit_event_stream, simulator.window_coincidences
@@ -866,7 +919,7 @@ class TestStreamingSlices:
             counted.append(stream.keys.copy())
             return real_window(stream, tphc)
 
-        monkeypatch.setattr(simulator, "ThreadPoolExecutor", Inline)
+        monkeypatch.setattr(simulator, "ThreadPoolExecutor", _Inline)
         monkeypatch.setattr(simulator, "emit_event_stream", emit)
         monkeypatch.setattr(simulator, "window_coincidences", window)
         settings_ = [(0.3, 0.1, 3), (0.3, 0.1, 4)]
@@ -961,9 +1014,12 @@ class TestStreamingSlices:
         with pytest.raises(ValueError, match="26.7 days"):
             simulate_setting(clean_config(), 0.0, 0.0, math.nextafter(at_edge, math.inf), 1)
 
-    def test_memory_is_bounded_by_one_slice(self):
+    def test_memory_is_bounded_by_one_slice(self, monkeypatch):
         # The acceptance 1b dark run: with the whole stream built, the peak
-        # grew with the duration (about 4x from 2 s to 8 s).
+        # grew with the duration (about 4x from 2 s to 8 s). The slices are
+        # made one after the other, so the peak does not depend on whether
+        # two pool threads' slices overlap in time.
+        monkeypatch.setattr(simulator, "ThreadPoolExecutor", _Inline)
         cfg = clean_config(pair_rate=0.0, dark_start=250e3, dark_stop=380e3, seed=101)
         peaks = []
         for duration in (2.0, 8.0):
