@@ -2,17 +2,18 @@
 
 The run duration is cut into fixed 1 s slices, each driven by a random stream
 derived from (seed, slice index), so results are reproducible and independent
-of which thread makes each slice. Each slice is drawn in
-integer picoseconds from its start and packed straight into one sorted array
-of event keys.
+of which thread makes each slice. Each slice is drawn in integer picoseconds
+from its start into one sorted array of event keys. A count draws positions
+only for the events that can pair and counts the rest; a record makes the
+same draws and fills in the rest, so a count equals the count of its record
+(see :func:`_slice_keys`).
 """
 from __future__ import annotations
 
 import math
 from collections import deque
-from contextlib import closing
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from contextlib import closing, nullcontext
+from concurrent.futures import Future, ThreadPoolExecutor
 from itertools import islice
 from typing import Sequence
 
@@ -46,6 +47,12 @@ __all__ = [
 ]
 
 SLICE_PS = round(SLICE_SECONDS / PS)
+# A reveal's threshold θ sits this many standard deviations (+ as many
+# spacings) above the mean of its spacings' sum (see _reveal).
+_SPREAD = 8
+# A slice whose segments would hold fewer points than this on average
+# draws all of its interior's points instead (see _slice_keys).
+_FEW = 8
 
 
 def apply_jitter(times_ps: np.ndarray, det: DetectorParams, rng: np.random.Generator):
@@ -61,163 +68,171 @@ def apply_jitter(times_ps: np.ndarray, det: DetectorParams, rng: np.random.Gener
 
 
 def generate_dark_counts(rate: float, duration: float, rng: np.random.Generator,
-                         t0_ps: int = 0, reach: "StartReach | None" = None) -> np.ndarray:
+                         t0_ps: int = 0) -> np.ndarray:
     """Homogeneous Poisson process: int64 ps times, uniform on the 1 ps grid of
-    [t0_ps, t0_ps + duration), in draw order.
-
-    With ``reach``, block (a) of a stop port, drawn where a start can reach
-    (a Poisson process on disjoint regions is one independent process per
-    region): first Poisson(rate · N · W) candidates in the windows of the N
-    ``reach.starts``, W = 2R + 1 grid points each, each at a uniform offset
-    from the window of a start index drawn uniformly, which is appended to
-    ``reach.picks``; then the edge bands E, whole. :func:`_slice_keys` keeps
-    a candidate if it lies in the interior and no start of a lower index
-    reaches it, so each point of U is drawn by its first window in draw
-    order alone, and the rejected ones are an independent Poisson count.
-    """
+    [t0_ps, t0_ps + duration), in draw order."""
     if rate < 0:
         raise ValueError(f"dark rate must be >= 0, got {rate}")
-    if reach is None:
-        n = rng.poisson(rate * duration)
-        return rng.integers(t0_ps, t0_ps + max(1, round(duration / PS)), n)
-    mu, starts, half, lo, hi = rate * PS, reach.starts, reach.half, reach.lo, reach.hi
-    windows = len(starts) * (2 * half + 1) if hi > lo else 0  # none meets an empty I
-    pick = rng.integers(0, len(starts), rng.poisson(mu * windows))
-    reach.picks.append(pick)
-    x = (starts[pick] >> 2) + rng.integers(-half, half + 1, len(pick))
-    front, edge = lo - reach.t0, lo - reach.t0 + reach.end - hi
-    at = rng.integers(0, edge, rng.poisson(mu * edge))
-    return np.concatenate([x, np.where(at < front, reach.t0 + at, hi - front + at)])
+    n = rng.poisson(rate * duration)
+    return rng.integers(t0_ps, t0_ps + max(1, round(duration / PS)), n)
 
 
-@dataclass
-class StartReach:
-    """Where the starts can pair with the dark counts of the stop ports of
-    the slice [t0, end) (see :func:`generate_dark_counts`).
-
-    U is the windows [s - half, s + half] of the start times s of
-    ``starts``, the keys of every start block the slice draws, in draw
-    order (see :func:`fransim.events.pack_keys`). E is the two edge bands,
-    [t0, lo) and [hi, end), which the starts of the neighbouring slices can
-    reach; between them lies the interior, I. ``picks`` holds the window of
-    each candidate of block (a), one array a stop port.
-    """
-
-    starts: np.ndarray
-    half: int
-    t0: int
-    end: int
-    lo: int
-    hi: int
-    picks: list = field(default_factory=list)
-
-
-def _near(reach: StartReach, points: np.ndarray, keep: int) -> np.ndarray:
-    """The positions in ``reach.starts``, in time order, of every start
-    within ``reach.half`` of one of the times ``points``, before max(t0 +
-    keep, lo + half) or from min(end - keep, hi - half) on, and of a few
-    more: one pass over the unsorted keys, through a table of bins of 2**k
-    ps, each longer than a window and about 2**16 of them (so the table
-    stays in cache). It marks the one or two bins that the window of each
-    point meets and the bins of the two edge ranges; a start is taken if
-    the bin of its time, clipped to the table, is marked.
-    """
-    half, t0, starts = reach.half, reach.t0, reach.starts
-    k = max((2 * half + 1).bit_length(), ((reach.end - t0) >> 16).bit_length())
-    last = ((reach.end - 1) >> k) - (t0 >> k)
-    table = np.zeros(last + 1, bool)
-    table[np.clip((np.r_[points - half, points + half] >> k) - (t0 >> k), 0, last)] = True
-    table[:((max(t0 + keep, reach.lo + half) - 1) >> k) - (t0 >> k) + 1] = True
-    table[max(0, (min(reach.end - keep, reach.hi - half) >> k) - (t0 >> k)):] = True
-    at = np.concatenate([np.empty(0, np.int64)] + [  # a chunk at a time: small temporaries
-        c + np.flatnonzero(table.take((starts[c:c + _CHUNK] >> (k + 2)) - (t0 >> k), mode="clip"))
-        for c in range(0, len(starts), _CHUNK)])
-    return at[np.argsort(starts[at])]
-
-
-def _reaches(times: np.ndarray, points: np.ndarray, half: int) -> np.ndarray:
-    """Whether each of ``points`` lies within ``half`` of one of the sorted
-    ``times``: whether the first of them from ``point - half`` on is."""
-    times = np.append(times, np.iinfo(np.int64).max)
-    return times[np.searchsorted(times, points - half)] <= points + half
-
-
-def _within(times: np.ndarray, points: np.ndarray, half: int):
-    """``(i, j)`` for each point ``points[i]`` and time ``times[j]`` of the
-    sorted ``times`` within ``half`` of each other. The points are searched
-    in time order, which a search of many of them runs several times faster."""
-    order = np.argsort(points)
-    a = np.searchsorted(times, points[order] - half)
-    n = np.searchsorted(times, points[order] + half, "right") - a
-    return np.repeat(order, n), np.arange(n.sum()) + np.repeat(a - np.cumsum(n) + n, n)
-
-
-def _reached(x: np.ndarray, keys: np.ndarray, j: np.ndarray, half: int) -> np.ndarray:
-    """Whether a start key of the sorted ``keys`` lies within ``half`` of
-    each of the (few) times ``x``, where ``keys[j]`` is the first key at or
-    past ``x - half``: the keys from ``j`` on, one round a key."""
-    found = np.zeros(len(x), bool)
-    todo, j = np.arange(len(x)), np.array(j)
+def _skips(n: np.ndarray, p: np.ndarray, rng: np.random.Generator):
+    """``(i, index)`` of each member, in order, of a Bernoulli(``p[i]``)
+    subset of each range [0, ``n[i]``), drawn by geometric skips in O(its
+    size) at any density. Each round draws, for each range not yet passed,
+    the skips expected to pass it plus 4 standard deviations and 1."""
+    found, last = [], np.full(len(n), -1)
+    todo = np.flatnonzero(n > 0)
     while len(todo):
-        todo = todo[j[todo] < len(keys)]
-        key = keys[j[todo]]
-        near = key >> 2 <= x[todo] + half
-        todo, key = todo[near], key[near]
-        hit = key & 1 == 0
-        found[todo[hit]] = True
-        todo = todo[~hit]
-        j[todo] += 1
-    return found
+        left = (n[todo] - 1 - last[todo]) * p[todo]
+        m = (left + 4 * np.sqrt(left) + 1).astype(np.int64)
+        of = np.repeat(todo, m)
+        at = np.cumsum(rng.geometric(p[of]))
+        ends = np.cumsum(m) - 1
+        at += np.repeat(last[todo] - np.append(0, at[ends[:-1]]), m)
+        inside = at < n[of]
+        found.append((of[inside], at[inside]))
+        more = at[ends] < n[todo]
+        last[todo] = at[ends]
+        todo = todo[more]
+    i, at = (np.concatenate([f[k] for f in found] + [np.empty(0, np.int64)]) for k in (0, 1))
+    order = np.argsort(i, kind="stable")
+    return i[order], at[order]
 
 
-def _redraw(n: int, keys: np.ndarray, reach: StartReach, free: int,
-            rng: np.random.Generator) -> np.ndarray:
-    """``n`` times uniform on the grid points of the interior of ``reach``
-    outside every window of the start keys of the sorted ``keys``, at least
-    ``free`` of them: uniform draws on the interior, each kept if no start
-    key reaches it. Each round draws as many as keep the ``n`` still missing
-    on average if ``free`` were their number, at most a chunk, and takes the
-    first of them it keeps."""
-    kept, need = [], n
-    while need:
-        x = rng.integers(reach.lo, reach.hi,
-                         min(math.ceil(need * (reach.hi - reach.lo) / free), _CHUNK))
-        x = x[~_reached(x, keys, np.searchsorted(keys, 4 * (x - reach.half)), reach.half)]
-        kept.append(x[:need])
-        need -= len(kept[-1])
-    return np.concatenate(kept) if kept else np.empty(0, np.int64)
+def _reveal(a: np.ndarray, b: np.ndarray, c: float, g: int, rng: np.random.Generator):
+    """Reveal the points of a Poisson process of ``c`` points a ps on the
+    segments [a, b) (ps) that lie within ``g`` ps of another point or of a
+    segment end, exactly, in O(points revealed) at any density.
+
+    A segment of length L draws N ~ Poisson(cL); its N + 1 spacings are
+    L·E_i/Σ, E_i i.i.d. Exp(1), Σ their sum (Pyke, "Spacings", JRSS B 27,
+    1965). With θ = g(N + 1 + s(√(N + 1) + 1))/L, s = :data:`_SPREAD`, fixed
+    first, E_0 and E_N are drawn, which place the first and the last point;
+    then the inner spacings below θ, a Bernoulli(1 - e^-θ) set of indices
+    (:func:`_skips`), each an Exp(1) truncated to [0, θ); a run of b inner
+    spacings above θ sums to bθ + Gamma(b). A spacing below g is below θ
+    unless gΣ/L >= θ (at most 1.3e-8 a segment, at N = 1, and 7e-16 at
+    large N): such a segment's runs are revealed too, sorted uniforms on
+    each run's Gamma excess. Every point next to a spacing below θ is
+    revealed.
+
+    Returns the revealed positions (float ps) and, for each run left with
+    points, ``(base, span, step, size)``: its points, ``size`` of them, lie
+    at base + j·step + span·U_(j), j = 1..size, U_(j) sorted uniforms, and
+    step >= g.
+    """
+    length = (b - a).astype(np.float64)
+    n = rng.poisson(c * length)
+    a, length, n = a[n > 0], length[n > 0], n[n > 0]
+    theta = g * (n + 1 + _SPREAD * (np.sqrt(n + 1) + 1)) / length
+    p = -np.expm1(-theta)
+    ends = rng.standard_exponential((len(n), 2))
+    seg, at = _skips(n - 1, p, rng)
+    close = -np.log1p(-rng.random(len(at)) * p[seg])
+    k = np.bincount(seg, minlength=len(n))
+    first = np.cumsum(k) - k
+    far = np.insert(at, first + k, n - 1) - np.insert(at, first, -1) - 1  # b of each run
+    run_seg = np.repeat(np.arange(len(n)), k + 1)
+    run = far * theta[run_seg] + rng.standard_gamma(far)
+    # Each segment's blocks: E_0, run 0, close 1, run 1, ..., close k, run k, E_N.
+    width = 2 * k + 3
+    start = np.cumsum(width) - width
+    run_at = start[run_seg] + 1 + 2 * (np.arange(len(run)) - np.repeat(first + np.arange(len(n)),
+                                                                      k + 1))
+    blocks = np.empty(width.sum())
+    blocks[start], blocks[start + width - 1] = ends.T
+    blocks[run_at] = run
+    blocks[start[seg] + 2 + 2 * (np.arange(len(at)) - first[seg])] = close
+    total = np.add.reduceat(blocks, start) if len(start) else blocks
+    scale = length / total
+    x = np.cumsum(blocks) - np.repeat(np.cumsum(total) - total, width)  # each block's end
+    x = np.repeat(a, width) + np.repeat(scale, width) * x
+    point = np.ones(len(blocks), bool)  # a point ends each block but E_N and the empty runs
+    point[start + width - 1] = False
+    point[run_at[far == 0]] = False
+    base, step = x[run_at] - scale[run_seg] * run, scale[run_seg] * theta[run_seg]
+    span, size = scale[run_seg] * run - far * step, far - 1
+    spill = (size > 0) & (g * total >= theta * length)[run_seg]
+    r = np.repeat(np.arange(np.count_nonzero(spill)), size[spill])
+    u = rng.random(len(r))
+    u = u[np.lexsort((u, r))]
+    j = np.arange(len(r)) - np.repeat(np.cumsum(size[spill]) - size[spill], size[spill]) + 1
+    spilled = base[spill][r] + j * step[spill][r] + span[spill][r] * u
+    kept = (size > 0) & ~spill
+    return np.append(x[point], spilled), base[kept], span[kept], step[kept], size[kept]
 
 
-def _buffer_size(config: ExperimentConfig, dur: float, monitored_only: bool,
-                 count_only: bool) -> int:
-    """The expected count of the keys that ``dur`` seconds of slices place,
-    plus 9 of its standard deviations. Of the stop dark counts, a count
-    places only those in the windows of the starts it makes, about ports ·
-    start rate · window of them a second on each stop port (bands aside)."""
+def _fill(fill: np.ndarray, t0_ps: int, base, span, step, counts: np.ndarray,
+          rng: np.random.Generator) -> None:
+    """Write into ``fill`` the sorted keys of the runs of :func:`_reveal`
+    (float ps from ``t0_ps``), ``counts[r, c]`` points of run r on channel
+    c. Each channel's points are drawn uniform on their runs' spans, as
+    doubles whose last two bits are the channel: positive doubles order as
+    their int64 bits, so one sort puts every run in order. Point j of a run
+    then moves by j steps and is floored to the ps grid. Both passes go a
+    chunk at a time, so their temporaries stay in cache.
+    """
+    as_float = fill.view(np.float64)
+    at = 0
+    for channel, n in enumerate(counts.T):
+        for i, j, runs, k in _chunks(n):
+            u = as_float[at + i:at + j]
+            rng.random(out=u)
+            u *= np.repeat(span[runs], k)
+            u += np.repeat(base[runs], k)
+            fill[at + i:at + j] &= -4
+            fill[at + i:at + j] |= channel
+        at += n.sum()
+    as_float.sort()
+    sizes = counts.sum(1)
+    offset = (1 - np.cumsum(sizes) + sizes) * step  # point j of a run moves by j steps
+    for i, j, runs, k in _chunks(sizes):
+        x = np.arange(i, j, dtype=np.float64)
+        x *= np.repeat(step[runs], k)
+        x += np.repeat(offset[runs], k)
+        x += as_float[i:j]
+        channel = fill[i:j] & 3
+        channel += 4 * t0_ps
+        fill[i:j] = x  # truncation floors a positive time
+        fill[i:j] <<= 2
+        fill[i:j] += channel
+
+
+def _chunks(sizes: np.ndarray):
+    """Yield ``(i, j, runs, k)`` for the :data:`_CHUNK`-long pieces [i, j)
+    of ``sum(sizes)`` points laid out run after run, ``sizes[r]`` of run r:
+    the slice ``runs`` of the runs the piece meets, ``k`` points of each."""
+    ends = np.cumsum(sizes)
+    for i in range(0, ends[-1] if len(ends) else 0, _CHUNK):
+        j = min(i + _CHUNK, ends[-1])
+        first, last = np.searchsorted(ends, [i, j - 1], "right")
+        yield i, j, slice(first, last + 1), np.diff(ends[first:last], prepend=i, append=j)
+
+
+def _packed(blocks, t0_ps: int) -> np.ndarray:
+    """The sorted keys of the ``(times, channel)`` blocks, ps times from
+    ``t0_ps``, each channel an int or an array of one per time."""
+    keys = np.empty(sum(len(t) for t, _ in blocks), np.int64)
+    at = 0
+    for t, ch in blocks:
+        pack_into(keys[at:at + len(t)], t + t0_ps, 0)
+        keys[at:at + len(t)] += ch
+        at += len(t)
+    keys.sort()
+    return keys
+
+
+def _buffer_size(config: ExperimentConfig, dur: float, monitored_only: bool) -> int:
+    """The expected count of the keys of ``dur`` seconds of a record, plus 9
+    of its standard deviations."""
     src, start_det, stop_det = config.source, config.detector_start, config.detector_stop
     split = src.pair_rate * src.split_efficiency * dur
-    ports = 1 if monitored_only else 2
     start = split * src.arm1_transmission * start_det.efficiency / 2 + dur * start_det.dark_rate
-    kept = min(1.0, ports * start / dur * config.tphc.window_width) if count_only else 1.0
-    stop = (split * src.arm2_transmission * stop_det.efficiency / 2
-            + kept * dur * stop_det.dark_rate)
-    mean = ports * (start + stop)
+    stop = split * src.arm2_transmission * stop_det.efficiency / 2 + dur * stop_det.dark_rate
+    mean = (1 if monitored_only else 2) * (start + stop)
     return math.ceil(mean + 9 * math.sqrt(mean))
-
-
-def _mend(keys: np.ndarray, drop: list, add: np.ndarray) -> int:
-    """Take the keys at the sorted positions ``drop`` out of the sorted
-    ``keys`` and merge the sorted ``add``, no more of them, in, in place,
-    moving the keys between two changes a run at a time; return the new
-    length."""
-    for i, (at, upto) in enumerate(zip(drop, drop[1:] + [len(keys)])):
-        keys[at - i:upto - i - 1] = keys[at + 1:upto]
-    end = len(keys) - len(drop)
-    at = np.searchsorted(keys[:end], add).tolist() + [end]
-    for i in reversed(range(len(add))):  # from the back, each run moves right by i + 1
-        keys[at[i] + i + 1:at[i + 1] + i + 1] = keys[at[i]:at[i + 1]]
-        keys[at[i] + i] = add[i]
-    return end + len(add)
 
 
 def _slice_keys(config: ExperimentConfig, probs: np.ndarray, t0_ps: int, dur: float,
@@ -234,178 +249,142 @@ def _slice_keys(config: ExperimentConfig, probs: np.ndarray, t0_ps: int, dur: fl
     per pair from the 16 cell probabilities ``probs`` (see
     :func:`fransim.quantum.cell_law`); one-sided events take its marginals,
     which every pair law shares: a uniform port and the long arm with prob. 1/2.
-    Times are drawn uniformly on the 1 ps grid from ``t0_ps``, and the path
-    delay and the jitter are rounded to whole ps.
+    Times are drawn on the 1 ps grid from ``t0_ps``, and the path delay and
+    the jitter are rounded to whole ps.
 
-    The stop dark counts are drawn in three blocks a port: (a) those in U ∪
-    E (see :func:`generate_dark_counts`), where U is the windows of every
-    start the slice draws and E the edge bands, the half-width, the path
-    delay and 12 start jitter sigmas (+1 ps) wide, past which no start of
-    another slice reaches; (b) the number of the rest, Poisson on the
-    interior I less U; and (d) their positions. Everything is drawn from
-    ``rng`` alone, in this order:
+    The edge bands E = [t0, lo) and [hi, end) are the half-width, the path
+    delay and 12 jitter sigmas of the wider detector (+1 ps) wide, past which
+    no event of another slice reaches. On the interior I = [lo, hi) every
+    stream but the pairs is a homogeneous Poisson process (one-sided photons
+    too, by the displacement theorem), so together they are one, C, each
+    point's channel drawn from the rates. Everything is drawn from ``rng``
+    alone, in this order, for the + ports alone if ``monitored_only``:
 
-    1. start +, then, unless ``monitored_only``, start -, packed in draw
-       order and never sorted before the stops are placed;
-    2. the stop + photons and (a+), then, unless ``monitored_only``, the
-       stop - photons and (a-);
-    3. the number (b+): Poisson(mu (|I| - S)), S the sum of |w ∩ I| over
-       the start windows w, plus the rejected (a+) candidates in I, two
-       independent Poisson counts of means mu (|I| - S) and mu (S - |U ∩
-       I|); or, if S > |I|, the number of Poisson(mu |I|) uniform test
-       points on I that no window covers.
+    1. the pairs: cells, emission times, arm delays and each channel's jitter;
+    2. per channel, the dark counts on E, and the one-sided photons of the
+       emissions within reach of an edge that land outside I;
+    3. C in the windows [s - R, s + R] of the pair photons s in I, merged,
+       or on all of I if it holds fewer than :data:`_FEW` points a gap
+       between two of them, too few to reveal: then 4 has no segment;
+    4. the rest of I, segments between the windows, by :func:`_reveal`;
+    5. the channels of the C points of 3 and 4, then with one multinomial
+       the numbers on each channel of each run that 4 left unrevealed.
 
-    Which candidates are kept, S, and which starts a count keeps come from
-    one pass over the start keys (:func:`_near`) and exact checks on the
-    few starts it finds. A count (``count_only``) stops after (b+), as its
-    unplaced stop + events; it draws no number of the stop - dark counts
-    outside U ∪ E, which no count reads. A record goes on to (d+), the (b+)
-    stop + positions, uniform on I, then, unless ``monitored_only``, (d-),
-    a Poisson process on I. So a count's draws are the first draws of the
-    record of its ports.
-
-    A count keeps only the start keys that can pair: those within the
-    half-width of a stop it placed, and those within ``keep`` of a slice
-    edge, the half-width, the path delay and 12 stop jitter sigmas (+1 ps),
-    as far as the stop photons of a neighbouring slice reach (its stop dark
-    counts stay in it). The start + keys it leaves out are a number, and the
-    kept keys, sorted with the stops, are written at the front of the
-    buffer. A record sorts all its keys once and then finds the (d) draws
-    that a start reaches, by :func:`fransim.events.pair_positions`: the
-    paired stop keys less the keys drawn in the windows and bands (equal
-    keys are alike). A (d-) one is dropped, a (d+) one redrawn from the
-    first child of ``rng`` (:func:`_redraw`), so the redraws do not depend
-    on how far ``rng`` has been drawn. Without ``out`` the key buffer is
-    sized from the expected count of the keys the slice places plus 9 of
-    its standard deviations; a block that does not fit grows it.
+    Only points of C within G = R + 2 ps of another event or of a segment
+    end are revealed, so no pair involves an unrevealed point, even after
+    each position is floored to the grid. A count (``count_only``) keeps
+    the events outside I and those in a pair, and counts the + ones of the
+    rest and of the runs as unplaced. A record goes on to :func:`_fill` the
+    runs, so a count's draws are the first draws of the record of its
+    ports. A record's key buffer is ``out`` if it is large enough, else one
+    of the expected key count plus 9 standard deviations, or more.
     """
-    src, start_det, stop_det = config.source, config.detector_start, config.detector_stop
-    end_ps = t0_ps + max(1, round(dur / PS))  # a sub-ps last slice keeps one grid point
+    src, dets = config.source, (config.detector_start, config.detector_stop)
+    n_ps = max(1, round(dur / PS))  # a sub-ps last slice keeps one grid point
     delay = round(config.analyzer1.path_delay / PS)
     half = round(config.tphc.window_width / 2 / PS)
+    reach = [math.ceil(JITTER_SIGMAS * fwhm_to_sigma(det.jitter_fwhm) / PS) for det in dets]
+    lo = min(half + delay + max(reach) + 1, n_ps)
+    hi = max(n_ps - lo, lo)
+    split = src.pair_rate * src.split_efficiency
+    eta1 = src.arm1_transmission * dets[0].efficiency
+    eta2 = src.arm2_transmission * dets[1].efficiency
+    one_sided = (split * eta1 * (1 - eta2) / 2, split * (1 - eta1) * eta2 / 2)  # per port, per s
+    channels = (CH_START_PLUS, CH_STOP_PLUS) if monitored_only else (
+        CH_START_PLUS, CH_STOP_PLUS, CH_START_MINUS, CH_STOP_MINUS)
+    rates = np.array([(dets[ch & 1].dark_rate + one_sided[ch & 1]) * PS for ch in channels])
 
-    def band_of(det):  # how far into the slice det's side of a neighbour can pair
-        return half + delay + math.ceil(JITTER_SIGMAS * fwhm_to_sigma(det.jitter_fwhm) / PS) + 1
-
-    band, keep = band_of(start_det), band_of(stop_det)
-    lo = min(t0_ps + band, end_ps)
-    hi = max(end_ps - band, lo)
-    split = src.pair_rate * src.split_efficiency * dur
-    eta1 = src.arm1_transmission * start_det.efficiency
-    eta2 = src.arm2_transmission * stop_det.efficiency
-    keys = out if out is not None else np.empty(
-        _buffer_size(config, dur, monitored_only, count_only), np.int64)
-    end = 0
-
-    def put(times, channel):
-        nonlocal keys, end
-        if end + len(times) > len(keys):
-            keys = np.concatenate([keys[:end], np.empty(max(len(times), len(keys)), np.int64)])
-        pack_into(keys[end:end + len(times)], times, channel)
-        end += len(times)
-
-    n_both = rng.poisson(split * eta1 * eta2)
-    emission = rng.integers(t0_ps, end_ps, n_both)
+    n_both = rng.poisson(split * dur * eta1 * eta2)
+    emission = rng.integers(0, n_ps, n_both)
     cells = rng.choice(16, n_both, p=probs)  # bits: start arm, stop arm, start port, stop port
-    sides = ((start_det, 3, 1, split * eta1 * (1.0 - eta2)),
-             (stop_det, 2, 0, split * (1.0 - eta1) * eta2))
-
-    def photons(channel):
-        det, arm_bit, port_bit, mean_one = sides[channel & 1]
-        both = (cells >> port_bit & 1) == channel >> 1
-        both_time = emission[both] + delay * (cells[both] >> arm_bit & 1)
-        one_time = rng.integers(t0_ps, end_ps, rng.poisson(mean_one / 2))
+    times = []
+    for ch in channels:
+        det, side = dets[ch & 1], ch & 1
+        both = (cells >> 1 - side & 1) == ch >> 1
+        paired = apply_jitter(emission[both] + delay * (cells[both] >> 3 - side & 1), det, rng)
+        dark = generate_dark_counts(det.dark_rate, (n_ps - hi + lo) * PS, rng)
+        front = min(lo + reach[side], n_ps)  # emissions from here on land in I ...
+        back = max(hi - delay - reach[side], front)  # ... and up to here
+        one = rng.integers(0, front + n_ps - back, rng.poisson(
+            one_sided[side] * (front + n_ps - back) * PS))
+        one[one >= front] += back - front
         # The times are i.i.d., so taking the first Binomial(n, 1/2) of
         # them as the long-arm ones is the same law as a coin per event.
-        one_time[:rng.binomial(len(one_time), 0.5)] += delay
-        return apply_jitter(np.concatenate([both_time, one_time]), det, rng)
-
-    def put_start(channel):
-        put(photons(channel), channel)
-        put(generate_dark_counts(start_det.dark_rate, dur, rng, t0_ps), channel)
-
-    put_start(CH_START_PLUS)
-    plus_starts = end
-    if not monitored_only:
-        put_start(CH_START_MINUS)
-    starts = end
-    reach = StartReach(keys[:end], half, t0_ps, end_ps, lo, hi)
-    ports = (CH_STOP_PLUS,) if monitored_only else (CH_STOP_PLUS, CH_STOP_MINUS)
-    darks = []
-    for channel in ports:
-        put(photons(channel), channel)
-        darks.append(generate_dark_counts(stop_det.dark_rate, dur, rng, t0_ps, reach))
-    # A count keeps the starts near its stop photons; a record keeps all.
-    near = _near(reach, np.concatenate([keys[starts:end if count_only else starts] >> 2, *darks]),
-                 keep)
-    times = reach.starts[near] >> 2
-    for channel, dark, pick in zip(ports, darks, reach.picks):
-        x = dark[:len(pick)]
-        i, j = _within(times, x, half)
-        early = np.zeros(len(x), bool)
-        early[i[near[j] < pick[i]]] = True
-        if channel == CH_STOP_PLUS:  # the (a+) candidates in I that an earlier window covers
-            rejected = int(np.count_nonzero(early & (x >= lo) & (x < hi)))
-        put(np.delete(dark, np.flatnonzero(early | (x < lo) | (x >= hi))), channel)
-    mu, interior = stop_det.dark_rate * PS, hi - lo
-    covers = (starts - len(near)) * (2 * half + 1) + int(np.maximum(
-        np.minimum(times + half + 1, hi) - np.maximum(times - half, lo), 0).sum())  # S
-    if covers <= interior:
-        unplaced = rng.poisson(mu * (interior - covers)) + rejected  # (b+)
-    else:  # the windows outgrow I: test points on I that no window covers
-        x = rng.integers(lo, hi, rng.poisson(mu * interior))
-        unplaced = int(np.count_nonzero(~_reaches(reach.starts[_near(reach, x, keep)] >> 2, x,
-                                                  half)))
+        one[:rng.binomial(len(one), 0.5)] += delay
+        one = apply_jitter(one, det, rng)
+        times += [(paired, ch), (dark + (dark >= lo) * (hi - lo), ch),
+                  (one[(one < lo) | (one >= hi)], ch)]
+    drawn, c = _packed(times, t0_ps), rates.sum()
+    s = (drawn >> 2) - t0_ps if c else drawn[:0]  # with no C, no windows
+    s = s[(s >= lo) & (s < hi)]  # the pair photons in I
+    if c * (hi - lo) >= _FEW * (len(s) + 1):
+        w0, w1 = np.maximum(s - half, lo), np.minimum(s + half + 1, hi)
+        gap = np.flatnonzero(w0[1:] > w1[:-1])  # between merged windows
+        w0, w1 = w0[np.append(0, gap + 1)[:len(w0)]], w1[np.append(gap, len(w1) - 1)[:len(w1)]]
+    else:
+        w0, w1 = np.array([lo]), np.array([hi])
+    edges = np.cumsum(w1 - w0)
+    width = int(edges[-1]) if len(edges) else 0
+    x = rng.integers(0, max(width, 1), rng.poisson(c * width))
+    x += (w1 - edges)[np.searchsorted(edges, x, "right")]
+    a, b = np.append(lo, w1), np.append(w0, hi)
+    points, *runs, size = _reveal(a[a < b], b[a < b], c, half + 2, rng)
+    probs_c = rates / c if c else rates + 1 / len(rates)
+    x = np.append(x, np.floor(points).astype(np.int64))
+    revealed = _packed([(x, rng.choice(len(channels), len(x), p=probs_c))], t0_ps)
+    counts = rng.multinomial(size, probs_c)
+    if len(revealed):
+        drawn = np.concatenate([drawn, revealed])
+        drawn.sort(kind="stable")  # merges the two sorted runs
     if count_only:
-        stops = np.sort(keys[starts:end])
-        held = ((times < t0_ps + keep) | (times >= end_ps - keep)
-                | _reaches(stops >> 2, times, half))
-        kept = np.sort(np.concatenate([reach.starts[near[held]], stops]), kind="stable")
+        held = (drawn >> 2 < t0_ps + lo) | (drawn >> 2 >= t0_ps + hi)
+        for pos in pair_positions(drawn, half):
+            held[pos] = True
+        left = np.bincount(drawn[~held] & 3, minlength=4)[:len(channels)] + counts.sum(0)
+        kept = drawn[held]
+        keys = out if out is not None and len(out) >= len(kept) else drawn
         keys[:len(kept)] = kept
-        plus_kept = int(np.count_nonzero(kept & 3 == CH_START_PLUS))
-        return keys[:len(kept)], unplaced, plus_starts - plus_kept
-    drawn = end
-    outside = [unplaced] if monitored_only else [unplaced, rng.poisson(mu * interior)]
-    for channel, n in zip(ports, outside):
-        for at in range(0, n, _CHUNK):  # (d+), then (d-), a chunk at a time
-            put(rng.integers(lo, hi, min(_CHUNK, n - at)), channel)
-    keys = keys[:end]
-    inner = np.sort(keys[starts:drawn])  # the stop keys drawn in the windows and bands
-    keys.sort()
-    if end == drawn:
-        return keys, 0, 0
-    # The (d) draws that a start reaches: the paired stop keys less the inner ones.
-    stops = np.unique(pair_positions(keys, half)[1])
-    values = keys[stops]
-    rank = np.arange(len(values)) - np.searchsorted(values, values)
-    drop = stops[rank >= np.searchsorted(inner, values, "right")
-                 - np.searchsorted(inner, values)].tolist()
-    moved = np.count_nonzero(keys[drop] & 3 == CH_STOP_PLUS)
-    free = max(1, interior - covers)  # |I| - S <= |I - U|
-    redrawn = _redraw(moved, keys, reach, free, rng.spawn(1)[0]) * 4 + CH_STOP_PLUS
-    return keys[:_mend(keys, drop, np.sort(redrawn))], 0, 0
+        return keys[:len(kept)], int(left[CH_STOP_PLUS]), int(left[CH_START_PLUS])
+    size = len(drawn) + int(counts.sum())
+    keys = out if out is not None and len(out) >= size else np.empty(
+        max(size, _buffer_size(config, dur, monitored_only)), np.int64)
+    _fill(keys[:size - len(drawn)], t0_ps, *runs, counts, rng)
+    keys[size - len(drawn):size] = drawn
+    keys = keys[:size]
+    keys.sort(kind="stable")  # merges the sorted fill and the sorted draws
+    return keys, 0, 0
 
 
-def _in_order(make, n_jobs: int):
+def _in_order(make, n_jobs: int, threads: bool = True):
     """Yield ``make(job, buffer)`` for jobs 0, 1, ... in order, each a tuple
     whose first item is a view of its key buffer.
 
     More than one job is made on two pool threads (numpy releases the GIL in
-    the draws, the sorts and the counts). Job ``j + 2`` is submitted, into
-    the key buffer of job ``j``, once the caller asks for the result after
-    job ``j``'s, so at most two buffers are in use. One job is made on this
-    thread and starts no thread. Close the generator to end its threads.
+    the draws, the sorts and the counts), or with ``threads`` false on this
+    thread. Job ``j + 2`` is submitted, into the key buffer of job ``j``,
+    once the caller asks for the result after job ``j``'s, so at most two
+    buffers are in use. One job is made on this thread and starts no thread.
+    Close the generator to end its threads.
     """
     if n_jobs < 2:
         yield from (make(job, None) for job in range(n_jobs))
         return
-    with ThreadPoolExecutor(max_workers=2, thread_name_prefix="fransim-slice") as pool:
-        ahead = deque(pool.submit(make, job, None) for job in range(2))
+    with ThreadPoolExecutor(max_workers=2, thread_name_prefix="fransim-slice") if threads \
+            else nullcontext() as pool:
+        submit = pool.submit if threads else _made
+        ahead = deque(submit(make, job, None) for job in range(2))
         for job in range(n_jobs):
             result = ahead.popleft().result()
             yield result
             if job + 2 < n_jobs:
-                ahead.append(pool.submit(make, job + 2, result[0].base))
+                ahead.append(submit(make, job + 2, result[0].base))
+
+
+def _made(fn, *args) -> Future:
+    """The finished future of ``fn(*args)``, made on this thread."""
+    done = Future()
+    done.set_result(fn(*args))
+    return done
 
 
 def _slice_durations(first_slice: int, duration: float) -> list[float]:
@@ -458,10 +437,10 @@ def emit_event_stream(config: ExperimentConfig, d1: float, d2: float, duration: 
     ``start`` must be a non-negative whole number of slices, and the span must
     end within 2**61 ps. Each slice draws from its own (seed, slice index)
     stream, so merging the keys of consecutive spans gives the record of the
-    whole span; a span of several slices is made on two pool threads (see
-    :func:`_in_order`) and joined by :func:`_join`, into an array sized for a
-    record (see :func:`_buffer_size`) or grown from the few keys that each
-    slice of a count keeps. Feeding a whole-run record (``start = 0``) into
+    whole span; a span of several slices is made by :func:`_in_order`, a
+    record's on two pool threads, and joined by :func:`_join`, into an array
+    sized for a record (see :func:`_buffer_size`) or, for a count, one of
+    :data:`fransim.events._CHUNK` keys that grows. Feeding a whole-run record (``start = 0``) into
     :func:`fransim.events.window_coincidences` reproduces
     :func:`simulate_setting` exactly for the same seed. For a one-slice span,
     an int64 ``out`` large enough for the slice receives its keys and the
@@ -470,14 +449,13 @@ def emit_event_stream(config: ExperimentConfig, d1: float, d2: float, duration: 
     :data:`fransim.quantum.PAIR_LAWS`.
 
     With ``count_only`` the stream is made for counting, not as a record:
-    the stop dark counts that no start can reach, and then the starts that
-    no event can reach, are left without positions (see :func:`_slice_keys`).
-    Those of the + ports are counted in ``unplaced_stop_plus`` and
-    ``unplaced_start_plus``; the stop - ones are not drawn and the start -
-    ones are dropped. Its keys are record keys, and every count of
+    the events of a slice's interior that no other event can reach are left
+    without positions (see :func:`_slice_keys`). Those of the + ports are
+    counted in ``unplaced_stop_plus`` and ``unplaced_start_plus``, and the
+    - ones are dropped. Its keys are record keys, and every count of
     :func:`fransim.events.window_coincidences` equals the record's. With
     ``monitored_only`` only the + ports are made, as a record or as a count:
-    each slice draws its start + and stop + blocks alone. So a count of the
+    each slice draws the streams of the + ports alone. So a count of the
     + ports equals the record of the + ports, not the + part of the full
     count of the same seed.
     """
@@ -505,8 +483,8 @@ def emit_event_stream(config: ExperimentConfig, d1: float, d2: float, duration: 
 
     if len(durations) == 1:
         return EventStream(duration, *make(0, out))
-    size = 0 if count_only else _buffer_size(config, duration, monitored_only, False)
-    with closing(_in_order(make, len(durations))) as parts:
+    size = _CHUNK if count_only else _buffer_size(config, duration, monitored_only)
+    with closing(_in_order(make, len(durations), not count_only)) as parts:
         return _join(parts, duration, size)
 
 
@@ -525,7 +503,9 @@ def simulate_settings(config: ExperimentConfig, settings: Sequence[tuple[float, 
     following the pair law named ``law``; one count summary per setting.
 
     The 1 s slices of all the settings are one pipeline of jobs, in order,
-    run by :func:`_in_order`, so at most two slices are alive. Each job
+    run by :func:`_in_order` on the calling thread (a count slice is mostly
+    Python-level work, which two threads only hand back and forth), so at
+    most two slices are alive. Each job
     makes one slice with :func:`emit_event_stream` for counting
     (``count_only``, see :func:`_slice_keys`), which keeps only the keys
     that can pair. The calling thread joins the slices of a setting with
@@ -547,6 +527,6 @@ def simulate_settings(config: ExperimentConfig, settings: Sequence[tuple[float, 
                                    count_only=True)
         return stream.keys, stream.unplaced_stop_plus, stream.unplaced_start_plus
 
-    with closing(_in_order(make, len(settings) * n_slices)) as slices:
-        return [window_coincidences(_join(islice(slices, n_slices), duration, 0), config.tphc)
+    with closing(_in_order(make, len(settings) * n_slices, threads=False)) as slices:
+        return [window_coincidences(_join(islice(slices, n_slices), duration, _CHUNK), config.tphc)
                 for _ in settings]

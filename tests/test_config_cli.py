@@ -275,8 +275,8 @@ class TestCli:
         # A change that moves their stream on purpose updates these and says so.
         assert main(["reproduce-paper", "--seed", "42"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert [line.split()[-3] for line in lines[1:]] == ["33.28", "0.9413", "0.02786",
-                                                            "8.407"]
+        assert [line.split()[-3] for line in lines[1:]] == ["33.27", "0.9409", "0.0281",
+                                                            "8.321"]
 
     def test_simulate_pins_a_full_count(self, tmp_path):
         # A full count of all four ports. A change that moves its stream on
@@ -284,7 +284,7 @@ class TestCli:
         out = tmp_path / "sim.csv"
         assert main(["simulate", "--dwell", "7.5", "--seed", "3", "--out", str(out)]) == 0
         assert out.read_text().splitlines()[1] == \
-            "7.5,1875871,1353734,948,169,160,906,118.50674977465333"
+            "7.5,1878392,1353997,952,144,138,919,118.6890661984533"
 
     def test_fringe_less_reproduction_prints_its_verdict(self, capsys):
         # A 0.1 us dwell sees no coincidence, so the fit is flat with no

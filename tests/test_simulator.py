@@ -586,25 +586,35 @@ class TestMonitoredOnly:
                 assert not (record.keys & 2).any()  # the + ports alone
                 assert [summary.coincidences[key] for key in OUTCOMES[1:]] == [0, 0, 0]
 
-    def test_a_monitored_slice_draws_the_plus_blocks_alone(self, monkeypatch):
+    def test_a_plus_count_draws_the_plus_streams_alone(self, monkeypatch):
+        # Each channel draws its pair photons' jitter, its dark counts on the
+        # edge bands and its one-sided photons' jitter, in channel order: a
+        # count of the + ports draws those of the + ports alone, as its
+        # record does, and equals the record of the + ports.
         cfg = clean_config(pair_rate=2e4, dark_start=1e3, dark_stop=2e3, jitter_stop=200e-12)
-        darks, jitters = [], []
+        calls = []
 
         def dark(rate, *args):
-            darks.append(rate)
+            calls.append(("dark", rate))
             return generate_dark_counts(rate, *args)
 
         def jitter(times, det, rng):
-            jitters.append(det.dark_rate)
+            calls.append(("jitter", det.dark_rate))
             return apply_jitter(times, det, rng)
 
         monkeypatch.setattr(simulator, "generate_dark_counts", dark)
         monkeypatch.setattr(simulator, "apply_jitter", jitter)
-        for monitored, rates in ((True, [1e3, 2e3]), (False, [1e3, 1e3, 2e3, 2e3])):
-            darks.clear()
-            jitters.clear()
-            emit_event_stream(cfg, 0.3, 0.2, 1.0, 5, monitored_only=monitored, count_only=True)
-            assert darks == jitters == rates  # start + (, start -), stop + (, stop -)
+        for monitored, rates in ((True, [1e3, 2e3]), (False, [1e3, 2e3, 1e3, 2e3])):
+            drawn = [(kind, rate) for rate in rates for kind in ("jitter", "dark", "jitter")]
+            calls.clear()
+            count = emit_event_stream(cfg, 0.3, 0.2, 1.0, 5, monitored_only=monitored,
+                                      count_only=True)
+            assert calls == drawn
+            calls.clear()
+            record = emit_event_stream(cfg, 0.3, 0.2, 1.0, 5, monitored_only=monitored)
+            assert calls == drawn
+            assert (record.keys & 2).any() != monitored
+            assert window_coincidences(count, cfg.tphc) == window_coincidences(record, cfg.tphc)
 
     def test_scan_equals_the_plus_records_at_the_point_seeds(self, monkeypatch):
         cfg = clean_config(pair_rate=3e4, dark_start=2e3, dark_stop=3e3,
@@ -755,54 +765,6 @@ class TestStopDarksInLaw:
         assert in_band_only > 0
         assert (near_only_minus > 0) != monitored
 
-    # Hand-built start + blocks, in draw order, of a 14 ns slice whose
-    # interior I is [1601, 12399) ps: windows 1001 ps wide that overlap, that
-    # cross lo or hi, or that miss I. The windows' lengths in I sum to S,
-    # within |I| or past it.
-    RULE_CASES = {
-        "S-within-I": [9000, 1800, 12600, 4000, 4600, 8800, 200, 13900, 1200],
-        "S-past-I": [1200, 12600] + [3000 + 150 * i for i in
-                                     np.random.default_rng(0).permutation(40).tolist()],
-    }
-
-    @pytest.mark.parametrize("case", sorted(RULE_CASES))
-    def test_the_window_rule_matches_brute_force(self, monkeypatch, case):
-        # Over 2000 seeds, the stop + dark counts a count places in I have
-        # mean mu |U ∩ I|, the unplaced ones mean and variance mu |I - U|,
-        # and the two are uncorrelated; U comes from an exact coverage mask.
-        # Each |z| stays within 4.
-        starts, n = np.array(self.RULE_CASES[case]), 2000
-        cfg = clean_config(pair_rate=0.0, dark_stop=5e9, window=1e-9)
-        cfg = replace(cfg, analyzer1=replace(cfg.analyzer1, path_delay=1.1e-9),
-                      analyzer2=replace(cfg.analyzer2, path_delay=1.1e-9))
-        half, duration = 500, 14e-9
-        lo, hi = half + 1100 + 1, round(duration / PS) - (half + 1100 + 1)
-        covered = np.zeros(hi - lo, bool)
-        for s in starts:
-            covered[max(s - half - lo, 0):max(s + half + 1 - lo, 0)] = True
-        assert (len(starts) * (2 * half + 1) > hi - lo) == (case == "S-past-I")
-        assert ((starts - half < lo) & (starts + half >= lo)).any()
-        assert ((starts - half < hi) & (starts + half >= hi)).any()
-
-        def dark(rate, dur, rng, t0_ps=0, reach=None):  # the start + block is ``starts``
-            return starts if reach is None else generate_dark_counts(rate, dur, rng, t0_ps, reach)
-
-        monkeypatch.setattr(simulator, "generate_dark_counts", dark)
-        kept, unplaced = np.empty(n), np.empty(n)
-        for seed in range(n):
-            count = emit_event_stream(cfg, 0.0, 0.0, duration, seed, monitored_only=True,
-                                      count_only=True)
-            stops = count.keys[(count.keys & 3) == CH_STOP_PLUS] >> 2
-            kept[seed] = np.count_nonzero((stops >= lo) & (stops < hi))
-            unplaced[seed] = count.unplaced_stop_plus
-        mu = cfg.detector_stop.dark_rate * PS
-        inside, outside = mu * covered.sum(), mu * (~covered).sum()
-        z = [(kept.mean() - inside) / math.sqrt(inside / n),
-             (unplaced.mean() - outside) / math.sqrt(outside / n),
-             (unplaced.var(ddof=1) - outside) / math.sqrt((outside + 2 * outside ** 2) / n),
-             np.corrcoef(kept, unplaced)[0, 1] * math.sqrt(n)]
-        assert max(map(abs, z)) < 4, z
-
     def test_a_slice_shorter_than_a_window_counts_as_its_record(self):
         # Each window is longer than the interior, so every window that
         # reaches it also reaches an edge band.
@@ -821,6 +783,86 @@ class TestStopDarksInLaw:
                     window_coincidences(record, cfg.tphc) == window_coincidences(count, cfg.tphc)
                 beyond = _beyond(count.keys, record.keys)
                 assert np.count_nonzero((beyond & 3) == CH_STOP_PLUS) == count.unplaced_stop_plus
+
+
+class TestReveal:
+    """A count reveals the points of C, a Poisson process on the segments of
+    a slice's interior, that lie within G = R + 2 ps of another point or of
+    a segment end (``simulator._reveal``), and its record fills in the rest
+    (``simulator._fill``). These build the segments by hand, R = 175 ps."""
+
+    R = 175
+    CASES = {  # segment starts and ends (ps), and points a ps
+        "dense": ([0], [20000], 0.05),  # 20 ps gaps on average: most are close
+        "empty": ([0, 50], [10, 60], 1e-4),  # no point, almost always
+        "few": ([0, 1000, 3000], [800, 2500, 3300], 2e-3),  # a point or two
+        "shorter-than-G": ([0, 1000], [100, 1170], 0.2),  # every spacing is close
+        "between-windows": ([0, 4351, 9000], [4000, 8649, 30000], 2e-3),
+        "sparse": ([0], [10**7], 2e-5),  # long runs of unrevealed points
+    }
+
+    def _record(self, case, seed):
+        """The revealed times and channels, the unrevealed number on each
+        channel of each run, and the filled keys of one seed."""
+        a, b, c = self.CASES[case]
+        rng = np.random.default_rng(seed)
+        points, *runs, size = simulator._reveal(np.array(a), np.array(b), c, self.R + 2, rng)
+        channels = rng.integers(0, 4, len(points))
+        counts = rng.multinomial(size, [0.25] * 4)
+        fill = np.empty(counts.sum(), np.int64)
+        simulator._fill(fill, 0, *runs, counts, rng)
+        return np.floor(points).astype(np.int64), channels, counts, fill
+
+    @pytest.mark.parametrize("spread", [simulator._SPREAD, 0])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_every_pair_is_revealed_and_the_count_is_the_record(self, monkeypatch, case,
+                                                                spread):
+        # With no spread above the mean, half of the segments fail the bound
+        # on their spacings and are revealed whole.
+        monkeypatch.setattr(simulator, "_SPREAD", spread)
+        a, b, c = (np.array(x) for x in self.CASES[case])
+        tphc = TphcParams(window_width=2 * self.R * PS)
+        whole = 0
+        for seed in range(100):
+            times, channels, counts, fill = self._record(case, seed)
+            whole += len(counts) == 0 and len(times) > 10
+            assert (np.diff(fill) > 0).all() and (times >= 0).all()
+            filled = fill >> 2
+            at = np.searchsorted(b, filled, "right")
+            assert (filled - a[at] >= self.R).all() and (b[at] - filled > self.R).all()
+            everything = np.sort(np.r_[times, filled])
+            near = np.flatnonzero(np.diff(everything) <= self.R)
+            assert not np.isin(everything[np.r_[near, near + 1]], filled).any()
+            count = EventStream(1.0, pack_keys([times[channels == ch] for ch in range(4)]),
+                                int(counts[:, CH_STOP_PLUS].sum()),
+                                int(counts[:, CH_START_PLUS].sum()))
+            record = EventStream(1.0, np.sort(np.r_[count.keys, fill]))
+            assert window_coincidences(count, tphc) == window_coincidences(record, tphc)
+        assert whole > 0 or spread or c * max(b - a) < 10  # segments revealed whole
+
+    @pytest.mark.parametrize("a, b, c, n", [
+        (0, 20000, 0.05, 1000), (0, 100, 0.2, 2000), (0, 100, 0.02, 2000),
+        (0, 30000, 2e-3, 2000), (0, 10**7, 2e-5, 1000),
+    ])
+    def test_the_reveal_keeps_the_law(self, a, b, c, n):
+        # Over n seeds, the points of a segment of length L, revealed and
+        # not, have the Poisson mean and variance cL, and the revealed gaps
+        # below G the mean number of gaps below G of a Poisson process on
+        # [0, L], cL(1 - e^-cm) - (1 - e^-cm (1 + cm)), m = min(G, L). Each
+        # |z| stays within 4 (about 6e-5 a check by chance).
+        g, length = self.R + 2, b - a
+        total, close = np.empty(n), np.empty(n)
+        for seed in range(n):
+            points, *_, size = simulator._reveal(np.array([a]), np.array([b]), c, g,
+                                                 np.random.default_rng(seed))
+            total[seed] = len(points) + size.sum()
+            close[seed] = np.count_nonzero(np.diff(np.sort(points)) < g)
+        mu, m = c * length, min(g, length)
+        gaps = mu * (1 - math.exp(-c * m)) - (1 - math.exp(-c * m) * (1 + c * m))
+        z = [(total.mean() - mu) / math.sqrt(mu / n),
+             (total.var(ddof=1) - mu) / math.sqrt((mu + 2 * mu ** 2) / n),
+             (close.mean() - gaps) / (close.std(ddof=1) / math.sqrt(n))]
+        assert max(map(abs, z)) < 4, z
 
 
 class TestConfigValidationPath:
@@ -1045,6 +1087,23 @@ class TestStreamingSlices:
             tracemalloc.stop()
         assert peak < 2.75 * slice_bytes, peak / slice_bytes
 
+    @pytest.mark.parametrize("monitored", [False, True])
+    def test_a_count_holds_no_dense_block(self, monitored):
+        # A 1 s count slice, at the dark run's config or a count of the +
+        # ports at the reproduction's, peaked at 6.06 MB while it drew,
+        # packed and scanned every start.
+        cfg = reproduction_config() if monitored else clean_config(
+            pair_rate=0.0, dark_start=250e3, dark_stop=380e3, seed=101)
+        emit_event_stream(cfg, 0.0, 0.0, 1.0, 1, monitored_only=monitored,
+                          count_only=True)  # the first call imports and caches
+        tracemalloc.start()
+        try:
+            emit_event_stream(cfg, 0.0, 0.0, 1.0, 2, monitored_only=monitored, count_only=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6, peak
+
     def test_a_multi_slice_count_is_joined_from_its_kept_keys(self):
         # An 8 s count of the dark run keeps about 2 k keys. Its join was
         # sized for every start of the span: 32 MB, a 45 MB peak.
@@ -1060,8 +1119,9 @@ class TestStreamingSlices:
 
 
 class TestSliceThreads:
-    """simulate_settings makes and counts the slices of every setting on two
-    pool threads, at most two slices at a time, and takes them in order."""
+    """simulate_settings makes and counts the slices of every setting in
+    order on the calling thread, and a multi-slice record makes its slices
+    on two pool threads, at most two slices at a time, taken in order."""
 
     @pytest.mark.parametrize("failing", [2, 3])
     def test_a_slice_error_reaches_the_caller_and_the_worker_ends(self, monkeypatch, failing):
