@@ -2,19 +2,20 @@
 
 The run duration is cut into fixed 1 s slices, each driven by a random stream
 derived from (seed, slice index), so results are reproducible and independent
-of which thread makes each slice. Each slice is drawn in integer picoseconds
-from its start into one sorted array of event keys. A count draws positions
-only for the events that can pair and counts the rest; a record makes the
-same draws and fills in the rest, so a count equals the count of its record
-(see :func:`_slice_keys`).
+of which thread makes each slice: a record's slices are made on two pool
+threads, a count's on the calling thread. Each slice is drawn in integer
+picoseconds from its start into one sorted array of event keys. A count
+draws positions only for the events that can pair and counts the rest; a
+record makes the same draws and fills in the rest, so a count equals the
+count of its record (see :func:`_slice_keys`). Each setting is one count of
+its whole dwell, counted once (see :func:`simulate_settings`).
 """
 from __future__ import annotations
 
 import math
 from collections import deque
-from contextlib import closing, nullcontext
-from concurrent.futures import Future, ThreadPoolExecutor
-from itertools import islice
+from contextlib import closing
+from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
 import numpy as np
@@ -240,8 +241,8 @@ def _slice_keys(config: ExperimentConfig, probs: np.ndarray, t0_ps: int, dur: fl
                 monitored_only: bool = False,
                 count_only: bool = False) -> tuple[np.ndarray, int, int]:
     """One time slice's events as sorted packed keys (see
-    :func:`fransim.events.pack_keys`), a view of ``out`` if they fit in it,
-    and the numbers of stop + and of start + events left without a position.
+    :func:`fransim.events.pack_keys`) and the numbers of stop + and of
+    start + events left without a position.
 
     Loss thins the split pairs independently on each side, so (colouring
     theorem) pairs detected on both sides and each side's one-sided events are
@@ -276,8 +277,9 @@ def _slice_keys(config: ExperimentConfig, probs: np.ndarray, t0_ps: int, dur: fl
     the events outside I and those in a pair, and counts the + ones of the
     rest and of the runs as unplaced. A record goes on to :func:`_fill` the
     runs, so a count's draws are the first draws of the record of its
-    ports. A record's key buffer is ``out`` if it is large enough, else one
-    of the expected key count plus 9 standard deviations, or more.
+    ports. A record's keys are a view of ``out`` if they fit in it, else of
+    a buffer of the expected key count plus 9 standard deviations, or more;
+    a count ignores ``out``.
     """
     src, dets = config.source, (config.detector_start, config.detector_stop)
     n_ps = max(1, round(dur / PS))  # a sub-ps last slice keeps one grid point
@@ -341,10 +343,7 @@ def _slice_keys(config: ExperimentConfig, probs: np.ndarray, t0_ps: int, dur: fl
         for pos in pair_positions(drawn, half):
             held[pos] = True
         left = np.bincount(drawn[~held] & 3, minlength=4)[:len(channels)] + counts.sum(0)
-        kept = drawn[held]
-        keys = out if out is not None and len(out) >= len(kept) else drawn
-        keys[:len(kept)] = kept
-        return keys[:len(kept)], int(left[CH_STOP_PLUS]), int(left[CH_START_PLUS])
+        return drawn[held], int(left[CH_STOP_PLUS]), int(left[CH_START_PLUS])
     size = len(drawn) + int(counts.sum())
     keys = out if out is not None and len(out) >= size else np.empty(
         max(size, _buffer_size(config, dur, monitored_only)), np.int64)
@@ -355,36 +354,22 @@ def _slice_keys(config: ExperimentConfig, probs: np.ndarray, t0_ps: int, dur: fl
     return keys, 0, 0
 
 
-def _in_order(make, n_jobs: int, threads: bool = True):
-    """Yield ``make(job, buffer)`` for jobs 0, 1, ... in order, each a tuple
-    whose first item is a view of its key buffer.
+def _in_order(make, n_jobs: int):
+    """Yield ``make(job, buffer)`` for jobs 0, 1, ... of two or more in
+    order, each a tuple whose first item is a view of its key buffer, made on
+    two pool threads (numpy releases the GIL in the draws and the sorts).
 
-    More than one job is made on two pool threads (numpy releases the GIL in
-    the draws, the sorts and the counts), or with ``threads`` false on this
-    thread. Job ``j + 2`` is submitted, into the key buffer of job ``j``,
-    once the caller asks for the result after job ``j``'s, so at most two
-    buffers are in use. One job is made on this thread and starts no thread.
-    Close the generator to end its threads.
+    Job ``j + 2`` is submitted, into the key buffer of job ``j``, once the
+    caller asks for the result after job ``j``'s, so at most two buffers are
+    in use. Close the generator to end its threads.
     """
-    if n_jobs < 2:
-        yield from (make(job, None) for job in range(n_jobs))
-        return
-    with ThreadPoolExecutor(max_workers=2, thread_name_prefix="fransim-slice") if threads \
-            else nullcontext() as pool:
-        submit = pool.submit if threads else _made
-        ahead = deque(submit(make, job, None) for job in range(2))
+    with ThreadPoolExecutor(max_workers=2, thread_name_prefix="fransim-slice") as pool:
+        ahead = deque(pool.submit(make, job, None) for job in range(2))
         for job in range(n_jobs):
             result = ahead.popleft().result()
             yield result
             if job + 2 < n_jobs:
-                ahead.append(submit(make, job + 2, result[0].base))
-
-
-def _made(fn, *args) -> Future:
-    """The finished future of ``fn(*args)``, made on this thread."""
-    done = Future()
-    done.set_result(fn(*args))
-    return done
+                ahead.append(pool.submit(make, job + 2, result[0].base))
 
 
 def _slice_durations(first_slice: int, duration: float) -> list[float]:
@@ -428,25 +413,22 @@ def _join(parts, duration: float, size: int) -> EventStream:
 
 
 def emit_event_stream(config: ExperimentConfig, d1: float, d2: float, duration: float,
-                      seed: int, *, start: float = 0.0, out: np.ndarray | None = None,
-                      law: str = "quantum", monitored_only: bool = False,
-                      count_only: bool = False) -> EventStream:
+                      seed: int, *, start: float = 0.0, law: str = "quantum",
+                      monitored_only: bool = False, count_only: bool = False) -> EventStream:
     """Detection record of ``[start, start + duration)``, made by slices
     ``start / SLICE_SECONDS, ...`` of the run.
 
     ``start`` must be a non-negative whole number of slices, and the span must
     end within 2**61 ps. Each slice draws from its own (seed, slice index)
     stream, so merging the keys of consecutive spans gives the record of the
-    whole span; a span of several slices is made by :func:`_in_order`, a
-    record's on two pool threads, and joined by :func:`_join`, into an array
-    sized for a record (see :func:`_buffer_size`) or, for a count, one of
-    :data:`fransim.events._CHUNK` keys that grows. Feeding a whole-run record (``start = 0``) into
+    whole span. The slices of a longer span are joined in order by
+    :func:`_join`: a record's are made by :func:`_in_order` on two pool
+    threads into an array sized for a record (see :func:`_buffer_size`), a
+    count's on the calling thread into one of :data:`fransim.events._CHUNK`
+    keys that grows. Feeding a whole-run record (``start = 0``) into
     :func:`fransim.events.window_coincidences` reproduces
-    :func:`simulate_setting` exactly for the same seed. For a one-slice span,
-    an int64 ``out`` large enough for the slice receives its keys and the
-    stream's keys are a view of it; a smaller one is replaced by a new array.
-    ``law`` names the law of pairs detected on both sides in
-    :data:`fransim.quantum.PAIR_LAWS`.
+    :func:`simulate_setting` exactly for the same seed. ``law`` names the
+    law of pairs detected on both sides in :data:`fransim.quantum.PAIR_LAWS`.
 
     With ``count_only`` the stream is made for counting, not as a record:
     the events of a slice's interior that no other event can reach are left
@@ -465,9 +447,6 @@ def emit_event_stream(config: ExperimentConfig, d1: float, d2: float, duration: 
                          f"{SLICE_SECONDS} s slices, got {start}")
     durations = _slice_durations(int(first), duration)
     validate_config(config)
-    if out is not None and (len(durations) > 1 or out.dtype != np.int64):
-        raise ValueError(f"out takes the int64 keys of one slice, "
-                         f"got {len(durations)} of {out.dtype}")
     if law not in PAIR_LAWS:
         raise ValueError(f"unknown pair law {law!r}, expected one of {sorted(PAIR_LAWS)}")
     # V' = V·exp(-(σ1² + σ2²)/2) is V averaged over each pair's white phase noise.
@@ -475,17 +454,18 @@ def emit_event_stream(config: ExperimentConfig, d1: float, d2: float, duration: 
                                          + config.analyzer2.phase_noise_sigma ** 2) / 2)
     probs = PAIR_LAWS[law](d1, d2, vis)
 
-    def make(job, into):
+    def make(job, into=None):
         k = int(first) + job
         return _slice_keys(config, probs, k * SLICE_PS, durations[job],
                            np.random.default_rng([seed, k]), into,
                            monitored_only=monitored_only, count_only=count_only)
 
     if len(durations) == 1:
-        return EventStream(duration, *make(0, out))
-    size = _CHUNK if count_only else _buffer_size(config, duration, monitored_only)
-    with closing(_in_order(make, len(durations), not count_only)) as parts:
-        return _join(parts, duration, size)
+        return EventStream(duration, *make(0))
+    if count_only:
+        return _join((make(job) for job in range(len(durations))), duration, _CHUNK)
+    with closing(_in_order(make, len(durations))) as parts:
+        return _join(parts, duration, _buffer_size(config, duration, monitored_only))
 
 
 def simulate_setting(config: ExperimentConfig, d1: float, d2: float,
@@ -502,31 +482,16 @@ def simulate_settings(config: ExperimentConfig, settings: Sequence[tuple[float, 
     window-discriminate its coincidences, pairs detected on both sides
     following the pair law named ``law``; one count summary per setting.
 
-    The 1 s slices of all the settings are one pipeline of jobs, in order,
-    run by :func:`_in_order` on the calling thread (a count slice is mostly
-    Python-level work, which two threads only hand back and forth), so at
-    most two slices are alive. Each job
-    makes one slice with :func:`emit_event_stream` for counting
+    Each setting is one :func:`emit_event_stream` count of its whole dwell
     (``count_only``, see :func:`_slice_keys`), which keeps only the keys
-    that can pair. The calling thread joins the slices of a setting with
-    :func:`_join`, as a multi-slice count of :func:`emit_event_stream` does,
-    and counts them once with :func:`fransim.events.window_coincidences`, so
-    the counts and singles equal those of the setting's whole-run record.
-    With ``monitored_only`` only the + ports are made and counted (see
-    :func:`emit_event_stream`): pairings with a - port read 0, and the
-    others equal those of the setting's whole-run record of the + ports.
+    that can pair, made and joined on the calling thread, and is counted
+    once by :func:`fransim.events.window_coincidences`. So its counts and
+    singles equal those of the setting's whole-run record. With
+    ``monitored_only`` only the + ports are made and counted: pairings with
+    a - port read 0, and the others equal those of the setting's whole-run
+    record of the + ports.
     """
-    durations = _slice_durations(0, duration)
-    validate_config(config)
-    n_slices = len(durations)
-
-    def make(job, out):
-        (d1, d2, seed), k = settings[job // n_slices], job % n_slices
-        stream = emit_event_stream(config, d1, d2, durations[k], seed, start=k * SLICE_SECONDS,
-                                   out=out, law=law, monitored_only=monitored_only,
-                                   count_only=True)
-        return stream.keys, stream.unplaced_stop_plus, stream.unplaced_start_plus
-
-    with closing(_in_order(make, len(settings) * n_slices, threads=False)) as slices:
-        return [window_coincidences(_join(islice(slices, n_slices), duration, _CHUNK), config.tphc)
-                for _ in settings]
+    return [window_coincidences(emit_event_stream(config, d1, d2, duration, seed, law=law,
+                                                  monitored_only=monitored_only, count_only=True),
+                                config.tphc)
+            for d1, d2, seed in settings]

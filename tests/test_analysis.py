@@ -346,7 +346,8 @@ class TestScanFringe:
         assert abs(fit.visibility - 0.45) < 4 * fit.visibility_sigma
 
     def test_a_scan_starts_at_most_two_threads(self):
-        # 25 settings of two slices each: one pipeline, not a thread per setting.
+        # 25 settings of two slices each, counted on the calling thread: no
+        # thread per setting.
         cfg = clean_config(pair_rate=2e3, seed=40)
         real_start, started = threading.Thread.start, []
 

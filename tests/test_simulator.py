@@ -909,11 +909,11 @@ class _Inline:
 
 class TestStreamingSlices:
     """simulate_setting makes each slice for counting, joins the slices of a
-    setting and counts them once; these check that cut and join."""
+    setting and counts them once; these check that join."""
 
     @settings(deadline=None, max_examples=200)
     @given(data=st.data(), n_slices=st.integers(1, 3), half=st.integers(1, 340))
-    def test_cut_and_carry_counts_every_pair_once(self, data, n_slices, half):
+    def test_the_join_counts_every_pair_once(self, data, n_slices, half):
         # Hand-made slices crowd events around each boundary. Either side may
         # lead its slice's start by up to a whole slice, far past the half +
         # 1 ps that a slice without jitter reaches, into the head or the tail
@@ -933,49 +933,39 @@ class TestStreamingSlices:
                 ports[name] = np.array(times, dtype=np.int64)
             slices.append(ports)
 
-        def fake_emit(config, d1, d2, duration, seed, *, start=0.0, **kwargs):
-            return EventStream.from_ports(duration, **slices[int(start)])
+        def fake_slice(config, probs, t0_ps, dur, rng, out=None, **kwargs):
+            return EventStream.from_ports(dur, **slices[t0_ps // SLICE_PS]).keys, 0, 0
 
-        with mock.patch.object(simulator, "emit_event_stream", fake_emit):
+        with mock.patch.object(simulator, "_slice_keys", fake_slice):
             got = simulate_setting(cfg, 0.0, 0.0, float(n_slices), 1)
         whole = EventStream.from_ports(float(n_slices), **{
             name: np.concatenate([ports[name] for ports in slices])
             for name in PORTS})
         assert got == window_coincidences(whole, tphc)
 
-    def test_carry_is_copied_out_of_the_reused_buffer(self, monkeypatch):
+    def test_a_record_slice_is_made_into_the_buffer_of_the_one_two_before(self, monkeypatch):
         # Each job runs inside submit(), so job j + 2 is made into the key
-        # buffer of job j as soon as the join of a setting takes job j + 1,
-        # before the setting is counted. Keys joined as views of the buffer
-        # would read the rewritten ones.
+        # buffer of job j as soon as the join takes job j + 1. The join copies
+        # each slice out before it takes the next, so the record is the
+        # single-slice records joined.
         cfg = clean_config(pair_rate=2e4, dark_start=2e4, dark_stop=2e4, jitter_stop=1e-5)
-        made, counted = [], []
-        real_emit, real_window = simulator.emit_event_stream, simulator.window_coincidences
+        made, real_slice = [], simulator._slice_keys
 
-        def emit(*args, **kwargs):
-            stream = real_emit(*args, **kwargs)
-            made.append((stream.keys, stream.keys.copy()))
-            return stream
-
-        def window(stream, tphc):
-            counted.append(stream.keys.copy())
-            return real_window(stream, tphc)
+        def slice_keys(*args, **kwargs):
+            keys, *rest = real_slice(*args, **kwargs)
+            made.append((keys, keys.copy()))
+            return keys, *rest
 
         monkeypatch.setattr(simulator, "ThreadPoolExecutor", _Inline)
-        monkeypatch.setattr(simulator, "emit_event_stream", emit)
-        monkeypatch.setattr(simulator, "window_coincidences", window)
-        settings_ = [(0.3, 0.1, 3), (0.3, 0.1, 4)]
-        got = simulate_settings(cfg, settings_, 2.0)
-        # Job 2, the first slice of the second setting, rewrote the buffer of
-        # job 0 before the first setting was counted.
-        (first, kept), _, (third, _), _ = made
-        assert np.shares_memory(first, third) and not np.array_equal(first, kept)
-        assert len(counted) == len(settings_)
-        for (d1, d2, seed), summary, keys in zip(settings_, got, counted):
-            count = real_emit(cfg, d1, d2, 2.0, seed, count_only=True)
-            np.testing.assert_array_equal(keys, count.keys)
-            assert summary == window_coincidences(count, cfg.tphc) == \
-                window_coincidences(real_emit(cfg, d1, d2, 2.0, seed), cfg.tphc)
+        monkeypatch.setattr(simulator, "_slice_keys", slice_keys)
+        record = emit_event_stream(cfg, 0.3, 0.1, 4.0, 3)
+        monkeypatch.undo()
+        assert len(made) == 4
+        for job in (0, 1):
+            (first, kept), (third, _) = made[job], made[job + 2]
+            assert np.shares_memory(first, third) and not np.array_equal(first, kept)
+        singles = [emit_event_stream(cfg, 0.3, 0.1, 1.0, 3, start=k).keys for k in range(4)]
+        np.testing.assert_array_equal(record.keys, np.sort(np.concatenate(singles)))
 
     def test_each_setting_is_counted_once(self, monkeypatch):
         # A 10 us stop jitter puts events of a slice on both sides of its edges.
@@ -1028,16 +1018,17 @@ class TestStreamingSlices:
                 held += np.count_nonzero(near_an_edge(count.keys))
         assert held  # the edge bands hold starts, so the check above reads some
 
-    def test_a_carry_stays_in_its_setting(self, monkeypatch):
-        # Each setting's first slice ends on a pair that is carried into its
-        # second slice; a carry kept into the next setting would pair again.
+    def test_a_join_stays_in_its_setting(self, monkeypatch):
+        # Each setting's pair crosses the edge between its two slices: its
+        # start ends slice 0 and its stop begins slice 1. A join that kept
+        # keys into the next setting would pair them again.
         empty = np.empty(0, np.int64)
 
-        def emit(config, d1, d2, duration, seed, *, start=0.0, **kwargs):
-            times = (_ps(SLICE_PS - 10), _ps(SLICE_PS - 5)) if start == 0 else (empty, empty)
-            return EventStream.from_ports(duration, times[0], empty, times[1], empty)
+        def fake_slice(config, probs, t0_ps, dur, rng, out=None, **kwargs):
+            times = (_ps(SLICE_PS - 10), empty) if t0_ps == 0 else (empty, _ps(SLICE_PS + 5))
+            return EventStream.from_ports(dur, times[0], empty, times[1], empty).keys, 0, 0
 
-        monkeypatch.setattr(simulator, "emit_event_stream", emit)
+        monkeypatch.setattr(simulator, "_slice_keys", fake_slice)
         got = simulate_settings(clean_config(), [(0.0, 0.0, 1), (0.0, 0.0, 2)], 2.0)
         assert [summary.coincidences[(1, 1)] for summary in got] == [1, 1]
 
@@ -1045,10 +1036,10 @@ class TestStreamingSlices:
         class Emitted(Exception):
             pass
 
-        def emit(*args, **kwargs):
+        def fake_slice(*args, **kwargs):
             raise Emitted
 
-        monkeypatch.setattr(simulator, "emit_event_stream", emit)
+        monkeypatch.setattr(simulator, "_slice_keys", fake_slice)
         at_edge = PACK_LIMIT_PS * PS
         assert round(at_edge / PS) == PACK_LIMIT_PS
         with pytest.raises(Emitted):  # the run starts
@@ -1056,12 +1047,10 @@ class TestStreamingSlices:
         with pytest.raises(ValueError, match="26.7 days"):
             simulate_setting(clean_config(), 0.0, 0.0, math.nextafter(at_edge, math.inf), 1)
 
-    def test_memory_is_bounded_by_one_slice(self, monkeypatch):
+    def test_memory_is_bounded_by_one_slice(self):
         # The acceptance 1b dark run: with the whole stream built, the peak
         # grew with the duration (about 4x from 2 s to 8 s). The slices are
-        # made one after the other, so the peak does not depend on whether
-        # two pool threads' slices overlap in time.
-        monkeypatch.setattr(simulator, "ThreadPoolExecutor", _Inline)
+        # made one after the other on the calling thread.
         cfg = clean_config(pair_rate=0.0, dark_start=250e3, dark_stop=380e3, seed=101)
         peaks = []
         for duration in (2.0, 8.0):
@@ -1119,28 +1108,32 @@ class TestStreamingSlices:
 
 
 class TestSliceThreads:
-    """simulate_settings makes and counts the slices of every setting in
-    order on the calling thread, and a multi-slice record makes its slices
-    on two pool threads, at most two slices at a time, taken in order."""
+    """simulate_settings makes and counts each setting in one count on the
+    calling thread, and a multi-slice record makes its slices on two pool
+    threads, at most two slices at a time, taken in order."""
 
     @pytest.mark.parametrize("failing", [2, 3])
     def test_a_slice_error_reaches_the_caller_and_the_worker_ends(self, monkeypatch, failing):
-        real_emit = simulator.emit_event_stream
+        real_slice = simulator._slice_keys
 
-        def emit(config, d1, d2, duration, seed, *, start=0.0, **kwargs):
-            if (seed, start) == (1, failing):
+        def slice_keys(config, probs, t0_ps, dur, rng, *args, **kwargs):
+            if rng.bit_generator.seed_seq.entropy == [1, failing]:  # (seed, slice)
                 raise ArithmeticError(f"slice {failing}")
-            return real_emit(config, d1, d2, duration, seed, start=start, **kwargs)
+            return real_slice(config, probs, t0_ps, dur, rng, *args, **kwargs)
 
-        monkeypatch.setattr(simulator, "emit_event_stream", emit)
+        monkeypatch.setattr(simulator, "_slice_keys", slice_keys)
         cfg = clean_config(pair_rate=1e4, dark_stop=1e3)
         threads = threading.active_count()
         with pytest.raises(ArithmeticError, match=f"slice {failing}"):
             simulate_setting(cfg, 0.0, 0.0, 4.0, 1)
         assert threading.active_count() == threads
-        # The failing slice belongs to the second setting, after the first was taken.
+        # The failing slice belongs to the second setting, after the first was counted.
         with pytest.raises(ArithmeticError, match=f"slice {failing}"):
             simulate_settings(cfg, [(0.0, 0.0, 2), (0.3, 0.1, 1)], 4.0)
+        assert threading.active_count() == threads
+        # A record's slices are made on pool threads, which end with the error.
+        with pytest.raises(ArithmeticError, match=f"slice {failing}"):
+            emit_event_stream(cfg, 0.0, 0.0, 4.0, 1)
         assert threading.active_count() == threads
 
     def test_concurrent_callers_get_their_own_counts(self):
@@ -1158,6 +1151,30 @@ class TestSliceThreads:
             sys.setswitchinterval(interval)
         assert got == list(expected.values())
 
+    def test_a_count_is_one_call_a_setting_and_starts_no_thread(self, monkeypatch):
+        cfg = clean_config(pair_rate=1e4, dark_stop=1e3)
+        settings_ = [(0.0, 0.0, 1), (0.3, 0.1, 2), (0.4, 0.0, 3)]
+        expected = [window_coincidences(emit_event_stream(cfg, d1, d2, 2.5, seed), cfg.tphc)
+                    for d1, d2, seed in settings_]
+        calls = {"emit": 0, "validate": 0}
+        real_emit, real_validate = simulator.emit_event_stream, simulator.validate_config
+
+        def emit(*args, **kwargs):
+            calls["emit"] += 1
+            return real_emit(*args, **kwargs)
+
+        def validate(config):
+            calls["validate"] += 1
+            return real_validate(config)
+
+        monkeypatch.setattr(simulator, "emit_event_stream", emit)
+        monkeypatch.setattr(simulator, "validate_config", validate)
+        with mock.patch.object(threading.Thread, "start", side_effect=AssertionError):
+            got = simulate_settings(cfg, settings_, 2.5)
+        assert got == expected
+        assert calls["emit"] == len(settings_), calls
+        assert calls["validate"] <= len(settings_) + 1, calls
+
     def test_one_slice_starts_no_thread(self):
         cfg = clean_config(pair_rate=1e4, dark_stop=1e3)
         with mock.patch.object(threading.Thread, "start", side_effect=AssertionError):
@@ -1165,15 +1182,15 @@ class TestSliceThreads:
         assert summary == window_coincidences(emit_event_stream(cfg, 0.3, 0.1, 1.0, 2), cfg.tphc)
 
     def test_out_receives_the_keys_and_grows_when_short(self):
+        # A record slice writes its keys into the buffer it is given, as the
+        # pool's job j + 2 does into the buffer of job j.
         cfg = _lossy(clean_config(pair_rate=5e4, dark_start=1e3, dark_stop=2e3,
                                   jitter_stop=200e-12))
         keys = emit_event_stream(cfg, 0.3, 0.2, 1.0, 7, start=2.0).keys
+        probs = PAIR_LAWS["quantum"](0.3, 0.2, cfg.visibility)  # no phase noise
         for out in (np.empty(0, np.int64), np.empty(len(keys) - 1, np.int64),
                     np.empty(len(keys) + 5, np.int64)):
-            got = emit_event_stream(cfg, 0.3, 0.2, 1.0, 7, start=2.0, out=out).keys
+            got, *_ = simulator._slice_keys(cfg, probs, 2 * SLICE_PS, 1.0,
+                                            np.random.default_rng([7, 2]), out)
             np.testing.assert_array_equal(got, keys)
             assert np.shares_memory(got, out) == (len(out) >= len(keys)), len(out)
-
-    def test_out_with_a_multi_slice_span_rejected(self):
-        with pytest.raises(ValueError, match="out takes the int64 keys of one slice"):
-            emit_event_stream(clean_config(), 0.0, 0.0, 1.5, 1, out=np.empty(10**6, np.int64))
