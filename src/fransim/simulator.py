@@ -4,11 +4,13 @@ The run duration is cut into fixed 1 s slices, each driven by a random stream
 derived from (seed, slice index), so results are reproducible and independent
 of which thread makes each slice: a record's slices are made on two pool
 threads, a count's on the calling thread. Each slice is drawn in integer
-picoseconds from its start into one sorted array of event keys. A count
-draws positions only for the events that can pair and counts the rest; a
-record makes the same draws and fills in the rest, so a count equals the
-count of its record (see :func:`_slice_keys`). Each setting is one count of
-its whole dwell, counted once (see :func:`simulate_settings`).
+picoseconds from its start into one sorted array of event keys: its pairs,
+and the dark counts and one-sided photons of every port as one homogeneous
+Poisson process, since the source is already running when the run starts.
+A count draws positions only for the events that can pair and counts the
+rest; a record makes the same draws and fills in the rest, so a count
+equals the count of its record (see :func:`_slice_keys`). Each setting is
+one count of its whole dwell, counted once (see :func:`simulate_settings`).
 """
 from __future__ import annotations
 
@@ -52,7 +54,7 @@ SLICE_PS = round(SLICE_SECONDS / PS)
 # spacings) above the mean of its spacings' sum (see _reveal).
 _SPREAD = 8
 # A slice whose segments would hold fewer points than this on average
-# draws all of its interior's points instead (see _slice_keys).
+# draws all of its points instead (see _slice_keys).
 _FEW = 8
 
 
@@ -248,28 +250,29 @@ def _slice_keys(config: ExperimentConfig, probs: np.ndarray, t0_ps: int, dur: fl
     theorem) pairs detected on both sides and each side's one-sided events are
     independent Poisson streams. Only the first needs the joint law, one draw
     per pair from the 16 cell probabilities ``probs`` (see
-    :func:`fransim.quantum.cell_law`); one-sided events take its marginals,
-    which every pair law shares: a uniform port and the long arm with prob. 1/2.
-    Times are drawn on the 1 ps grid from ``t0_ps``, and the path delay and
-    the jitter are rounded to whole ps.
+    :func:`fransim.quantum.cell_law`); one-sided events take its marginal
+    port, which every pair law shares: each port with prob. 1/2. Times are
+    drawn on the 1 ps grid from ``t0_ps``, and the path delay and the jitter
+    are rounded to whole ps.
 
-    The edge bands E = [t0, lo) and [hi, end) are the half-width, the path
-    delay and 12 jitter sigmas of the wider detector (+1 ps) wide, past which
-    no event of another slice reaches. On the interior I = [lo, hi) every
-    stream but the pairs is a homogeneous Poisson process (one-sided photons
-    too, by the displacement theorem), so together they are one, C, each
-    point's channel drawn from the rates. Everything is drawn from ``rng``
-    alone, in this order, for the + ports alone if ``monitored_only``:
+    The source is already running when the run starts, so each port's
+    one-sided photons are, like its dark counts, a homogeneous Poisson
+    process on the whole slice (displacement theorem); together every stream
+    but the pairs is one, C, each point's channel drawn from the rates. The
+    edge bands E = [t0, lo) and [hi, end) are the half-width, the path delay
+    and 12 jitter sigmas of the wider detector (+1 ps) wide, past which no
+    pair photon of another slice can pair; the interior is I = [lo, hi).
+    Everything is drawn from ``rng`` alone, in this order, for the + ports
+    alone if ``monitored_only``:
 
     1. the pairs: cells, emission times, arm delays and each channel's jitter;
-    2. per channel, the dark counts on E, and the one-sided photons of the
-       emissions within reach of an edge that land outside I;
-    3. C in the windows [s - R, s + R] of the pair photons s in I, merged,
-       or on all of I if it holds fewer than :data:`_FEW` points a gap
-       between two of them, too few to reveal: then 4 has no segment;
-    4. the rest of I, segments between the windows, by :func:`_reveal`;
-    5. the channels of the C points of 3 and 4, then with one multinomial
-       the numbers on each channel of each run that 4 left unrevealed.
+    2. C in one draw on E's two bands and on the windows [s - R, s + R] of
+       the pair photons s in I, merged, or on the whole slice if I holds
+       fewer than :data:`_FEW` points a gap between two of them, too few to
+       reveal: then 3 has no segment;
+    3. the rest of I, segments between the windows, by :func:`_reveal`;
+    4. the channels of the C points of 2 and 3, then with one multinomial
+       the numbers on each channel of each run that 3 left unrevealed.
 
     Only points of C within G = R + 2 ps of another event or of a segment
     end are revealed, so no pair involves an unrevealed point, even after
@@ -285,8 +288,8 @@ def _slice_keys(config: ExperimentConfig, probs: np.ndarray, t0_ps: int, dur: fl
     n_ps = max(1, round(dur / PS))  # a sub-ps last slice keeps one grid point
     delay = round(config.analyzer1.path_delay / PS)
     half = round(config.tphc.window_width / 2 / PS)
-    reach = [math.ceil(JITTER_SIGMAS * fwhm_to_sigma(det.jitter_fwhm) / PS) for det in dets]
-    lo = min(half + delay + max(reach) + 1, n_ps)
+    reach = max(math.ceil(JITTER_SIGMAS * fwhm_to_sigma(det.jitter_fwhm) / PS) for det in dets)
+    lo = min(half + delay + reach + 1, n_ps)
     hi = max(n_ps - lo, lo)
     split = src.pair_rate * src.split_efficiency
     eta1 = src.arm1_transmission * dets[0].efficiency
@@ -301,21 +304,10 @@ def _slice_keys(config: ExperimentConfig, probs: np.ndarray, t0_ps: int, dur: fl
     cells = rng.choice(16, n_both, p=probs)  # bits: start arm, stop arm, start port, stop port
     times = []
     for ch in channels:
-        det, side = dets[ch & 1], ch & 1
+        side = ch & 1
         both = (cells >> 1 - side & 1) == ch >> 1
-        paired = apply_jitter(emission[both] + delay * (cells[both] >> 3 - side & 1), det, rng)
-        dark = generate_dark_counts(det.dark_rate, (n_ps - hi + lo) * PS, rng)
-        front = min(lo + reach[side], n_ps)  # emissions from here on land in I ...
-        back = max(hi - delay - reach[side], front)  # ... and up to here
-        one = rng.integers(0, front + n_ps - back, rng.poisson(
-            one_sided[side] * (front + n_ps - back) * PS))
-        one[one >= front] += back - front
-        # The times are i.i.d., so taking the first Binomial(n, 1/2) of
-        # them as the long-arm ones is the same law as a coin per event.
-        one[:rng.binomial(len(one), 0.5)] += delay
-        one = apply_jitter(one, det, rng)
-        times += [(paired, ch), (dark + (dark >= lo) * (hi - lo), ch),
-                  (one[(one < lo) | (one >= hi)], ch)]
+        times.append((apply_jitter(emission[both] + delay * (cells[both] >> 3 - side & 1),
+                                   dets[side], rng), ch))
     drawn, c = _packed(times, t0_ps), rates.sum()
     s = (drawn >> 2) - t0_ps if c else drawn[:0]  # with no C, no windows
     s = s[(s >= lo) & (s < hi)]  # the pair photons in I
@@ -323,13 +315,13 @@ def _slice_keys(config: ExperimentConfig, probs: np.ndarray, t0_ps: int, dur: fl
         w0, w1 = np.maximum(s - half, lo), np.minimum(s + half + 1, hi)
         gap = np.flatnonzero(w0[1:] > w1[:-1])  # between merged windows
         w0, w1 = w0[np.append(0, gap + 1)[:len(w0)]], w1[np.append(gap, len(w1) - 1)[:len(w1)]]
+        w0, w1 = np.r_[0, w0, hi], np.r_[lo, w1, n_ps]  # E's two bands are windows too
     else:
-        w0, w1 = np.array([lo]), np.array([hi])
+        w0, w1 = np.array([0]), np.array([n_ps])
     edges = np.cumsum(w1 - w0)
-    width = int(edges[-1]) if len(edges) else 0
-    x = rng.integers(0, max(width, 1), rng.poisson(c * width))
+    x = generate_dark_counts(c / PS, int(edges[-1]) * PS, rng)
     x += (w1 - edges)[np.searchsorted(edges, x, "right")]
-    a, b = np.append(lo, w1), np.append(w0, hi)
+    a, b = w1[:-1], w0[1:]
     points, *runs, size = _reveal(a[a < b], b[a < b], c, half + 2, rng)
     probs_c = rates / c if c else rates + 1 / len(rates)
     x = np.append(x, np.floor(points).astype(np.int64))
@@ -372,9 +364,9 @@ def _in_order(make, n_jobs: int):
                 ahead.append(pool.submit(make, job + 2, result[0].base))
 
 
-def _slice_durations(first_slice: int, duration: float) -> list[float]:
-    """Durations of the 1 s slices of a span from slice ``first_slice``
-    lasting ``duration`` seconds, the last one possibly shorter. Raises
+def _slice_count(first_slice: int, duration: float) -> int:
+    """The number of 1 s slices of a span from slice ``first_slice`` lasting
+    ``duration`` seconds, the last one possibly shorter. Raises
     ``ValueError`` unless ``duration`` is finite and > 0 and the span ends
     within the packable time range (2**61 ps)."""
     if not (math.isfinite(duration) and duration > 0):
@@ -383,8 +375,7 @@ def _slice_durations(first_slice: int, duration: float) -> list[float]:
     if end_ps > PACK_LIMIT_PS:
         raise ValueError(f"the span ends at {end_ps} ps, past the {PACK_LIMIT_PS} ps "
                          f"(about 26.7 days) that event keys can hold")
-    n_slices = max(1, int(math.ceil(duration / SLICE_SECONDS)))
-    return [min(SLICE_SECONDS, duration - n * SLICE_SECONDS) for n in range(n_slices)]
+    return max(1, int(math.ceil(duration / SLICE_SECONDS)))
 
 
 def _join(parts, duration: float, size: int) -> EventStream:
@@ -445,7 +436,7 @@ def emit_event_stream(config: ExperimentConfig, d1: float, d2: float, duration: 
     if not start >= 0 or rest:
         raise ValueError(f"start must be a non-negative whole number of "
                          f"{SLICE_SECONDS} s slices, got {start}")
-    durations = _slice_durations(int(first), duration)
+    n_slices = _slice_count(int(first), duration)
     validate_config(config)
     if law not in PAIR_LAWS:
         raise ValueError(f"unknown pair law {law!r}, expected one of {sorted(PAIR_LAWS)}")
@@ -456,15 +447,16 @@ def emit_event_stream(config: ExperimentConfig, d1: float, d2: float, duration: 
 
     def make(job, into=None):
         k = int(first) + job
-        return _slice_keys(config, probs, k * SLICE_PS, durations[job],
+        return _slice_keys(config, probs, k * SLICE_PS,
+                           min(SLICE_SECONDS, duration - job * SLICE_SECONDS),
                            np.random.default_rng([seed, k]), into,
                            monitored_only=monitored_only, count_only=count_only)
 
-    if len(durations) == 1:
+    if n_slices == 1:
         return EventStream(duration, *make(0))
     if count_only:
-        return _join((make(job) for job in range(len(durations))), duration, _CHUNK)
-    with closing(_in_order(make, len(durations))) as parts:
+        return _join((make(job) for job in range(n_slices)), duration, _CHUNK)
+    with closing(_in_order(make, n_slices)) as parts:
         return _join(parts, duration, _buffer_size(config, duration, monitored_only))
 
 

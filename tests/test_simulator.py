@@ -327,6 +327,21 @@ class TestEventStream:
             joined = np.sort(np.concatenate([getattr(span, port) for span in spans]))
             np.testing.assert_array_equal(joined, getattr(whole, port))
 
+    @pytest.mark.parametrize("start", [0.0, 1.0])
+    def test_a_record_stays_inside_its_span(self, start):
+        # With no stop detected, every event is a dark count or a one-sided
+        # photon: points of one homogeneous Poisson process on the span, none
+        # pushed past either end by the 1 ns start jitter.
+        cfg = clean_config(pair_rate=2e11, dark_start=1e9, dark_stop=1e9)
+        cfg = replace(cfg, source=replace(cfg.source, arm2_transmission=0.0),
+                      detector_start=replace(cfg.detector_start, jitter_fwhm=1e-9))
+        begin, duration = round(start / PS), 3e-9
+        times = np.concatenate([emit_event_stream(cfg, 0.0, 0.0, duration, seed,
+                                                  start=start).keys >> 2
+                                for seed in range(20)])
+        assert len(times) > 200
+        assert ((times >= begin) & (times < begin + round(duration / PS))).all()
+
     @pytest.mark.parametrize("start", [0.5, -1.0, float("nan")])
     def test_start_off_a_slice_boundary_rejected(self, start):
         with pytest.raises(ValueError, match="whole number"):
@@ -587,10 +602,10 @@ class TestMonitoredOnly:
                 assert [summary.coincidences[key] for key in OUTCOMES[1:]] == [0, 0, 0]
 
     def test_a_plus_count_draws_the_plus_streams_alone(self, monkeypatch):
-        # Each channel draws its pair photons' jitter, its dark counts on the
-        # edge bands and its one-sided photons' jitter, in channel order: a
-        # count of the + ports draws those of the + ports alone, as its
-        # record does, and equals the record of the + ports.
+        # Each channel draws its pair photons' jitter, in channel order, and
+        # then one draw places C, the dark counts and one-sided photons of the
+        # drawn ports: a count of the + ports draws those of the + ports
+        # alone, as its record does, and equals the record of the + ports.
         cfg = clean_config(pair_rate=2e4, dark_start=1e3, dark_stop=2e3, jitter_stop=200e-12)
         calls = []
 
@@ -604,17 +619,21 @@ class TestMonitoredOnly:
 
         monkeypatch.setattr(simulator, "generate_dark_counts", dark)
         monkeypatch.setattr(simulator, "apply_jitter", jitter)
+        c = {}
         for monitored, rates in ((True, [1e3, 2e3]), (False, [1e3, 2e3, 1e3, 2e3])):
-            drawn = [(kind, rate) for rate in rates for kind in ("jitter", "dark", "jitter")]
             calls.clear()
             count = emit_event_stream(cfg, 0.3, 0.2, 1.0, 5, monitored_only=monitored,
                                       count_only=True)
-            assert calls == drawn
+            assert calls[:-1] == [("jitter", rate) for rate in rates] and calls[-1][0] == "dark"
+            c[monitored] = calls[-1][1]
+            drawn = list(calls)
             calls.clear()
             record = emit_event_stream(cfg, 0.3, 0.2, 1.0, 5, monitored_only=monitored)
             assert calls == drawn
             assert (record.keys & 2).any() != monitored
             assert window_coincidences(count, cfg.tphc) == window_coincidences(record, cfg.tphc)
+        assert c[True] == pytest.approx(c[False] / 2)
+        assert c[True] > 1e3 + 2e3  # one-sided photons are part of C
 
     def test_scan_equals_the_plus_records_at_the_point_seeds(self, monkeypatch):
         cfg = clean_config(pair_rate=3e4, dark_start=2e3, dark_stop=3e3,
